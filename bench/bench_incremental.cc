@@ -125,8 +125,6 @@ int main(int argc, char** argv) {
       engine.MatchAll();
 
       MaintainerOptions mopts;
-      mopts.matcher = options.matcher;
-      mopts.embedding_cap = options.embedding_cap;
       mopts.num_threads = 1;  // compute-fair vs the serial rebuild
       IndexMaintainer maintainer(engine, mopts);
       auto matcher = CreateMatcher(options.matcher);

@@ -323,8 +323,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<IndexMaintainer> maintainer;
   if (server_options.admin) {
     MaintainerOptions maintainer_options;
-    maintainer_options.matcher = engine.options().matcher;
-    maintainer_options.embedding_cap = engine.options().embedding_cap;
     maintainer_options.num_threads = num_threads;
     maintainer_options.num_shards = num_shards;
     maintainer = std::make_unique<IndexMaintainer>(engine, maintainer_options);

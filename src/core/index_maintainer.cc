@@ -21,6 +21,14 @@ uint32_t TypePairKey(TypeId a, TypeId b) {
   return (static_cast<uint32_t>(a) << 16) | b;
 }
 
+/// `options` with the re-match settings taken from the engine's build.
+MaintainerOptions InheritMatchSettings(const SearchEngine& engine,
+                                       MaintainerOptions options) {
+  options.matcher = engine.options().matcher;
+  options.embedding_cap = engine.options().embedding_cap;
+  return options;
+}
+
 }  // namespace
 
 IndexMaintainer::IndexMaintainer(const SearchEngine& engine,
@@ -28,7 +36,8 @@ IndexMaintainer::IndexMaintainer(const SearchEngine& engine,
     : IndexMaintainer(std::make_shared<Graph>(engine.graph()),
                       std::make_shared<std::vector<MinedMetagraph>>(
                           engine.metagraphs()),
-                      engine.shared_index(), options) {}
+                      engine.shared_index(),
+                      InheritMatchSettings(engine, options)) {}
 
 IndexMaintainer::IndexMaintainer(
     std::shared_ptr<const Graph> graph,
@@ -192,10 +201,12 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
     RawCounts& led = ledger_[i];
     const Metagraph& m = mined.graph;
     if (!sink.saturated() && m.num_nodes() >= 2 && m.IsConnected()) {
-      led.pair_counts = sink.pair_counts();
-      led.node_counts = sink.node_counts();
-      led.num_embeddings = sink.num_embeddings();
-      led.valid = true;
+      led = RawCounts{sink.pair_counts(), sink.node_counts(),
+                      sink.num_embeddings(), /*valid=*/true};
+      // The ledger lives as long as the maintainer and is only merged
+      // into from here on, so it is kept packed.
+      led.pair_counts.Pack();
+      led.node_counts.Pack();
     } else {
       led = RawCounts{};
     }

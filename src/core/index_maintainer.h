@@ -45,7 +45,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/index_snapshot.h"
@@ -54,6 +53,7 @@
 #include "index/metagraph_vectors.h"
 #include "matching/matcher.h"
 #include "mining/miner.h"
+#include "util/flat_count_map.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -65,7 +65,8 @@ class SearchEngine;
 struct MaintainerOptions {
   /// Matching kernel for refresh re-matches. Use the kernel the base index
   /// was built with, or refreshed counts may differ from the base ones for
-  /// saturated metagraphs.
+  /// saturated metagraphs. The engine-taking constructor overrides it (and
+  /// embedding_cap) with the engine's own setting.
   MatcherKind matcher = MatcherKind::kSymISO;
   /// Embedding cap per re-matched metagraph (see EngineOptions).
   uint64_t embedding_cap = 3'000'000;
@@ -100,7 +101,10 @@ class IndexMaintainer {
  public:
   /// Takes over a built engine's offline state: copies the graph and
   /// mined set into owned shared state and shares the finalized index.
-  /// The engine remains usable (its reads keep serving its own snapshot).
+  /// Re-matches run under the engine's matcher and embedding cap (those
+  /// two fields of `options` are ignored), so a refresh stays equal to
+  /// that engine's rebuild. The engine remains usable (its reads keep
+  /// serving its own snapshot).
   explicit IndexMaintainer(const SearchEngine& engine,
                            MaintainerOptions options = {});
 
@@ -158,8 +162,8 @@ class IndexMaintainer {
   /// `valid` only when the counts are complete (not cap-truncated) and
   /// the metagraph is delta-enumerable (connected, >= 2 nodes).
   struct RawCounts {
-    std::unordered_map<uint64_t, uint64_t> pair_counts;
-    std::unordered_map<NodeId, uint64_t> node_counts;
+    util::FlatCountMap<uint64_t> pair_counts;
+    util::FlatCountMap<NodeId> node_counts;
     uint64_t num_embeddings = 0;
     bool valid = false;
   };

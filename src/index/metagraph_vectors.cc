@@ -84,9 +84,8 @@ void MetagraphVectorIndex::Commit(uint32_t metagraph_index,
 }
 
 void MetagraphVectorIndex::Commit(
-    uint32_t metagraph_index,
-    const std::unordered_map<uint64_t, uint64_t>& pair_counts,
-    const std::unordered_map<NodeId, uint64_t>& node_counts, size_t aut_size) {
+    uint32_t metagraph_index, const util::FlatCountMap<uint64_t>& pair_counts,
+    const util::FlatCountMap<NodeId>& node_counts, size_t aut_size) {
   MX_CHECK(metagraph_index < num_metagraphs_);
   MX_CHECK_MSG(committed_[metagraph_index] == 0, "metagraph committed twice");
   MX_CHECK(aut_size > 0);

@@ -67,6 +67,7 @@
 #include "matching/instance_sink.h"
 #include "metagraph/automorphism.h"
 #include "util/container.h"
+#include "util/flat_count_map.h"
 #include "util/macros.h"
 #include "util/mmap_file.h"
 #include "util/status.h"
@@ -158,10 +159,11 @@ class SymPairCountingSink : public InstanceSink {
 
   bool OnEmbedding(std::span<const NodeId> embedding) override;
 
-  const std::unordered_map<uint64_t, uint64_t>& pair_counts() const {
+  /// Raw (pre-|Aut|-division) embedding counts per PairKey and per node.
+  const util::FlatCountMap<uint64_t>& pair_counts() const {
     return pair_counts_;
   }
-  const std::unordered_map<NodeId, uint64_t>& node_counts() const {
+  const util::FlatCountMap<NodeId>& node_counts() const {
     return node_counts_;
   }
   uint64_t num_embeddings() const { return num_embeddings_; }
@@ -172,8 +174,8 @@ class SymPairCountingSink : public InstanceSink {
   uint64_t cap_;
   uint64_t num_embeddings_ = 0;
   std::vector<MetaNodeId> sym_nodes_;  // nodes in >= 1 symmetric pair
-  std::unordered_map<uint64_t, uint64_t> pair_counts_;
-  std::unordered_map<NodeId, uint64_t> node_counts_;
+  util::FlatCountMap<uint64_t> pair_counts_;
+  util::FlatCountMap<NodeId> node_counts_;
 };
 
 /// The committed, queryable index of metagraph vectors. See the file
@@ -202,9 +204,8 @@ class MetagraphVectorIndex {
   /// commits the sum, which makes the committed float rows bitwise-equal
   /// to a from-scratch re-match delivering the same totals.
   void Commit(uint32_t metagraph_index,
-              const std::unordered_map<uint64_t, uint64_t>& pair_counts,
-              const std::unordered_map<NodeId, uint64_t>& node_counts,
-              size_t aut_size);
+              const util::FlatCountMap<uint64_t>& pair_counts,
+              const util::FlatCountMap<NodeId>& node_counts, size_t aut_size);
 
   /// Sorts every pair/node row touched since the last Seal() by metagraph
   /// index. Call from ONE thread after a batch of (possibly concurrent)

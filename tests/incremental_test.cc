@@ -304,6 +304,80 @@ TEST(IndexMaintainer, AppendValidatesAgainstBufferedState) {
   EXPECT_EQ(maintainer.pending_edges(), 1u);
 }
 
+TEST(IndexMaintainer, CapTruncatedRefreshesStayByteIdentical) {
+  // An engine cap far below the 3M default, so cap-truncated metagraphs go
+  // through Refresh: some saturate at the base (their ledgers are never
+  // valid), and some outgrow the cap headroom their ledger leaves on a
+  // later slice (the delta run saturates and falls back to a full
+  // re-match). The maintainer inherits the cap from the engine.
+  constexpr uint64_t kCap = 1000;
+  const Base& base = SharedBase();
+  datagen::ArrivalConfig config;
+  config.num_slices = 3;
+  auto timeline =
+      datagen::SliceByArrival(base.ds.graph, base.ds.user_type, config);
+  EngineOptions options = base.engine->options();
+  options.embedding_cap = kCap;
+  SearchEngine engine(timeline.base, options);
+  engine.Mine();
+  engine.MatchAll();
+  const auto& mined = engine.metagraphs();
+
+  // Uncapped embedding counts on every graph state of the timeline.
+  std::vector<Graph> states = {timeline.base};
+  for (const GraphDelta& slice : timeline.slices) {
+    auto next = ApplyDelta(states.back(), slice);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    states.push_back(std::move(*next));
+  }
+  auto matcher = CreateMatcher(options.matcher);
+  auto embeddings = [&](uint32_t i, size_t state) {
+    CountingSink sink;
+    matcher->Match(states[state], mined[i].graph, &sink);
+    return sink.count();
+  };
+
+  IndexMaintainer maintainer(engine);
+  EXPECT_EQ(maintainer.options().embedding_cap, kCap);
+  // Mirrors the maintainer's ledger policy to predict the full re-matches:
+  // one is due when the ledger is invalid or the grown count reaches the
+  // cap; the ledger is valid afterwards iff the count stayed below it.
+  std::vector<bool> ledger_valid(mined.size(), false);
+  size_t saturated_at_base = 0;
+  size_t headroom_fallbacks = 0;
+  for (uint32_t i = 0; i < mined.size(); ++i) {
+    saturated_at_base += embeddings(i, 0) >= kCap;
+  }
+  for (size_t r = 0; r < timeline.slices.size(); ++r) {
+    size_t expected_full = 0;
+    for (uint32_t i : IndexMaintainer::AffectedMetagraphs(
+             states[r], mined, timeline.slices[r])) {
+      const bool saturated = embeddings(i, r + 1) >= kCap;
+      expected_full += !ledger_valid[i] || saturated;
+      headroom_fallbacks += ledger_valid[i] && saturated;
+      ledger_valid[i] = !saturated;
+    }
+
+    ASSERT_TRUE(maintainer.Append(timeline.slices[r]).ok());
+    RefreshStats stats;
+    auto refreshed = maintainer.Refresh(&stats);
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    ASSERT_EQ(IndexBytes((*refreshed)->index()),
+              IndexBytes(RebuildAll(engine, (*refreshed)->graph())))
+        << "refresh " << r;
+    EXPECT_EQ(stats.affected_metagraphs - stats.delta_metagraphs,
+              expected_full)
+        << "refresh " << r;
+    if (r > 0) {
+      EXPECT_GT(stats.delta_metagraphs, 0u) << "refresh " << r;
+      EXPECT_GT(stats.affected_metagraphs - stats.delta_metagraphs, 0u)
+          << "refresh " << r;
+    }
+  }
+  EXPECT_GT(saturated_at_base, 0u);
+  EXPECT_GT(headroom_fallbacks, 0u);
+}
+
 // ---- arrival timelines ----------------------------------------------------
 
 TEST(ArrivalTimeline, ReplayReconstructsTheFullDataset) {

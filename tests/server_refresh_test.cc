@@ -63,10 +63,7 @@ struct Fixture {
         std::make_unique<server::ModelRegistry>(model.weights.size());
     EXPECT_TRUE(registry->Load("main", model).ok());
     if (with_maintainer) {
-      MaintainerOptions mopts;
-      mopts.matcher = options.matcher;
-      mopts.embedding_cap = options.embedding_cap;
-      maintainer = std::make_unique<IndexMaintainer>(*engine, mopts);
+      maintainer = std::make_unique<IndexMaintainer>(*engine);
     }
     indexes = std::make_unique<server::IndexRegistry>(
         maintainer != nullptr ? maintainer->snapshot() : engine->Snapshot());

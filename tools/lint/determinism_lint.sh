@@ -8,9 +8,11 @@
 #           rand_r, time/clock/gettimeofday/system_clock. Anything
 #           time- or RNG-seeded in these layers would leak into mined
 #           sets, counts, or rankings.
-#   rule 2  range-for over a std::unordered_{map,set}: iteration order is
-#           implementation- and seed-dependent, so it must never feed
-#           committed output. Every site needs an explicit
+#   rule 2  range-for over a std::unordered_{map,set} or a
+#           util::FlatCountMap (the counting path's open-addressing
+#           table): iteration order is implementation-, seed- or
+#           capacity-dependent, so it must never feed committed output.
+#           Every site needs an explicit
 #           `lint:allow-unordered-iter` marker (same line or the two
 #           lines above) arguing why order cannot escape — a sort
 #           downstream, or a commutative merge.
@@ -104,6 +106,21 @@ if [ -n "$(printf 'for (auto k : dirty) SortRow(the_map[k]);\n' \
   exit 1
 fi
 
+# The rule-2 name harvest: the declared name of every unordered container
+# or FlatCountMap (members, locals, params, and accessors returning
+# references), one per line.
+harvest_names() {
+  sed -n 's/.*\(unordered_\(map\|set\)\|FlatCountMap\)<.*>[&*]\{0,1\} *\([A-Za-z_][A-Za-z0-9_]*\).*/\3/p'
+}
+for decl in 'std::unordered_map<uint64_t, uint32_t> the_slots;' \
+            'const util::FlatCountMap<NodeId>& the_counts() const {'; do
+  if [ -z "$(printf '%s\n' "$decl" | harvest_names)" ]; then
+    echo "determinism_lint: SELF-TEST FAILED: rule 2 harvested no name" \
+         "from: $decl" >&2
+    exit 1
+  fi
+done
+
 # Strips // comments, preserving line count so grep -n numbers line up
 # with the original file.
 strip_comments() { sed 's%//.*%%' "$1"; }
@@ -129,17 +146,15 @@ for f in $files; do
 done
 
 # ---- rule 2: range-for over unordered containers. Names are harvested
-# from unordered_{map,set} declarations (members, locals, params, and
-# accessors returning references) across the scanned layers, then every
+# from unordered_{map,set} and FlatCountMap declarations across the
+# scanned layers (harvest_names above), then every
 # range-for whose RANGE expression mentions one of them must carry the
 # marker. The awk pass extracts the balanced `for (...)` header and looks
 # only at the part after the ` : ` separator, so a name in the loop BODY
 # (e.g. `for (k : dirty) SortRow(pairs[k]);`) does not trip it.
 # Limitation: a for-header wrapped across source lines is not seen —
 # keep range-fors over unordered containers on one line.
-names=$(cat $files \
-  | sed -n 's/.*unordered_\(map\|set\)<.*>[&*]\{0,1\} *\([A-Za-z_][A-Za-z0-9_]*\).*/\2/p' \
-  | sort -u)
+names=$(cat $files | harvest_names | sort -u)
 if [ -z "$names" ]; then
   echo "determinism_lint: harvested no unordered container names —" \
        "declaration regex has gone stale" >&2
