@@ -1,11 +1,13 @@
-// Batched online phase: throughput of SearchEngine-style batched ranking
-// (BatchRankByProximity) vs. the sequential per-query path, swept over
-// batch size and worker threads on the synthetic Facebook benchmark graph.
+// Batched online phase: throughput of the one batch path
+// (BatchRankByProximityMulti with one model, as every single-model caller
+// runs it) vs. the sequential per-query path, swept over batch size and
+// worker threads on the synthetic Facebook benchmark graph.
 //
-// The batched path amortizes three per-query costs: duplicate queries are
+// The batched path amortizes four per-query costs: duplicate queries are
 // scored once, every touched node row's m_x . w is gathered once per batch,
-// and pair rows are read through the candidate-slot postings instead of a
-// hash probe per pair — plus the scoring fan-out over the thread pool.
+// pair rows are read through the candidate-slot postings instead of a
+// hash probe per pair, and a pair row between two queries of the batch is
+// dotted once for both — plus the fan-out over the thread pool.
 //
 // Also verifies the batched determinism contract on every configuration:
 // whatever the batch size and thread count, every query's result must be
@@ -15,8 +17,10 @@
 // online sweep sets its own thread counts); METAPROX_BENCH_SCALE=full for
 // paper-sized graphs.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +69,7 @@ int main(int argc, char** argv) {
   const MetagraphVectorIndex& index = b.engine->index();
   const std::vector<double> weights = UniformWeights(index);
   const MgpModel model{weights};
+  const std::span<const double> one_model[] = {weights};
 
   // Query stream: the user pool cycled to a fixed length, so batches mix
   // repeat visitors (service-style traffic) once the stream wraps.
@@ -106,13 +111,15 @@ int main(int argc, char** argv) {
       util::ThreadPool pool(threads);
       util::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
       std::vector<QueryResult> results(stream.size());
+      const std::vector<uint32_t> model_of(batch, 0);
       const double seconds = TimeBest([&] {
         for (size_t begin = 0; begin < stream.size(); begin += batch) {
           const size_t end = std::min(stream.size(), begin + batch);
-          auto chunk = BatchRankByProximity(
-              index, weights,
+          auto chunk = BatchRankByProximityMulti(
+              index, one_model,
               std::span<const NodeId>(stream.data() + begin, end - begin),
-              kTopK, pool_ptr);
+              std::span<const uint32_t>(model_of.data(), end - begin), kTopK,
+              pool_ptr);
           std::move(chunk.begin(), chunk.end(), results.begin() + begin);
         }
       });

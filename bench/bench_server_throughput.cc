@@ -1,25 +1,25 @@
 // Query-server throughput: end-to-end (TCP, wire protocol, micro-batching
 // batcher) throughput of server::QueryServer over the batched online
 // phase, centered on MULTI-MODEL windows: streams striping 1, 2 and 4
-// registry models are served twice — with the shared-window scheduler
-// (one SearchEngine::BatchQueryMulti per k group: the window's row union
+// registry models through the shared-window batcher (one
+// IndexSnapshot::BatchQueryMulti per k group: the window's row union
 // gathered once, every row scored under all its models by the
-// multi-weight kernels) and with the legacy per-(model, k) grouping (one
-// BatchQuery per model) — plus the unbatched baseline (max_batch = 1).
+// multi-weight kernels) — plus the unbatched baseline (max_batch = 1).
 //
-// The bench HARD-FAILS unless the shared window beats per-model grouping
-// at every mixed-model count: that superiority is this subsystem's reason
-// to exist, so losing it is a regression, not a footnote. The
-// gather-amortization counters (rows_gathered, rows_saved_vs_per_model,
-// models_per_window) and a closed-loop per-model p50 latency probe land
-// in the JSON report next to the throughput numbers.
+// The bench HARD-FAILS unless batching beats the unbatched baseline and
+// the shared window actually saves gathered rows at every mixed-model
+// count (rows_saved_vs_per_model > 0 at 2 and 4 models): that saving is
+// the shared window's reason to exist, so losing it is a regression, not
+// a footnote. The gather-amortization counters (rows_gathered,
+// rows_saved_vs_per_model, models_per_window) and a closed-loop per-model
+// p50 latency probe land in the JSON report next to the throughput
+// numbers.
 //
 // Also verifies the server determinism contract on every configuration:
 // every response must carry exactly the nodes and bitwise-identical
 // scores of an offline engine.Query() for that node UNDER THE MODEL THE
 // REQUEST NAMED (scores cross the wire as %.17g text, which round-trips
-// the double bits) — the shared-window and per-group schedules must be
-// byte-indistinguishable to clients.
+// the double bits).
 //
 // The C10K section (reactor-era): ONE epoll-driven driver thread holds
 // 512+ pipelined nonblocking connections against the server's own epoll
@@ -77,10 +77,6 @@ struct Config {
   /// Stream index i queries model i % num_models — every window mixes
   /// every model.
   size_t num_models;
-  /// Shared-window scheduler (BatchQueryMulti per k group) vs. the legacy
-  /// per-(model, k) grouping. Same responses either way; only the
-  /// schedule — and the throughput — differs.
-  bool shared;
 };
 
 size_t ModelOf(const Config& config, size_t i) {
@@ -494,8 +490,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--c10k-only") == 0) c10k_only = true;
   }
   std::printf(
-      "== query server: shared-window vs per-model grouping, 1/2/4 models "
-      "==\n");
+      "== query server: shared-window batcher, 1/2/4 models ==\n");
   std::printf("hardware concurrency: %zu\n\n", util::ResolveNumThreads(0));
 
   Bundle b = MakeFacebook(5, 450, 1200);
@@ -541,23 +536,19 @@ int main(int argc, char** argv) {
   const std::vector<Config> configs =
       c10k_only ? std::vector<Config>{}
                 : std::vector<Config>{
-                      {"unbatched", 4, 1, 0, 1, true},
-                      {"1 model, shared", 4, 64, 2000, 1, true},
-                      {"2 models, per-group", 4, 64, 2000, 2, false},
-                      {"2 models, shared", 4, 64, 2000, 2, true},
-                      {"4 models, per-group", 4, 64, 2000, 4, false},
-                      {"4 models, shared", 4, 64, 2000, 4, true},
+                      {"unbatched", 4, 1, 0, 1},
+                      {"1 model", 4, 64, 2000, 1},
+                      {"2 models", 4, 64, 2000, 2},
+                      {"4 models", 4, 64, 2000, 4},
                   };
 
-  util::TablePrinter table({"config", "models", "sched", "time (s)",
-                            "queries/s", "speedup", "rows saved",
-                            "models/window"});
+  util::TablePrinter table({"config", "models", "time (s)", "queries/s",
+                            "speedup", "rows saved", "models/window"});
   JsonReport report("server_throughput");
   double unbatched_qps = 0.0;
   double batched_single_qps = 0.0;
-  // qps by num_models for the shared-vs-per-group verdict.
-  std::vector<double> shared_qps(kMaxModels + 1, 0.0);
-  std::vector<double> per_group_qps(kMaxModels + 1, 0.0);
+  // rows_saved_vs_per_model by num_models, for the shared-window gate.
+  std::vector<uint64_t> rows_saved(kMaxModels + 1, 0);
   bool all_ok = true;
   for (const Config& config : configs) {
     double best_seconds = -1.0;
@@ -580,7 +571,6 @@ int main(int argc, char** argv) {
       options.window_micros = config.window_micros;
       options.default_k = kTopK;
       options.default_model = kModelNames[0];
-      options.shared_window_scoring = config.shared;
       options.num_threads = BenchThreads();
       server::QueryServer server(&indexes, &registry, options);
       auto status = server.Start();
@@ -636,10 +626,8 @@ int main(int argc, char** argv) {
       unbatched_qps = qps;
     } else if (config.num_models == 1) {
       batched_single_qps = qps;
-    } else if (config.shared) {
-      shared_qps[config.num_models] = qps;
     } else {
-      per_group_qps[config.num_models] = qps;
+      rows_saved[config.num_models] = stats.rows_saved_vs_per_model;
     }
     const double speedup = unbatched_qps > 0.0 ? qps / unbatched_qps : 1.0;
     const double models_per_window =
@@ -647,7 +635,6 @@ int main(int argc, char** argv) {
                                 static_cast<double>(stats.windows)
                           : 0.0;
     table.AddRow({config.label, std::to_string(config.num_models),
-                  config.shared ? "shared" : "per-group",
                   util::FormatDouble(best_seconds, 3),
                   util::FormatDouble(qps, 0),
                   util::FormatDouble(speedup, 2) + "x",
@@ -659,7 +646,6 @@ int main(int argc, char** argv) {
         .Num("max_batch", static_cast<double>(config.max_batch))
         .Num("window_micros", static_cast<double>(config.window_micros))
         .Num("num_models", static_cast<double>(config.num_models))
-        .Num("shared_window", config.shared ? 1.0 : 0.0)
         .Num("seconds", best_seconds)
         .Num("queries_per_second", qps)
         .Num("speedup_vs_unbatched", speedup)
@@ -679,27 +665,13 @@ int main(int argc, char** argv) {
   if (!c10k_only) {
     table.Print(std::cout);
 
-    // The shared-vs-per-group verdict, in the JSON next to the raw
-    // numbers.
-    for (size_t n : {size_t{2}, size_t{4}}) {
-      if (per_group_qps[n] > 0.0 && shared_qps[n] > 0.0) {
-        report.BeginRecord()
-            .Str("config", "verdict")
-            .Num("num_models", static_cast<double>(n))
-            .Num("shared_speedup_vs_per_group",
-                 shared_qps[n] / per_group_qps[n]);
-      }
-    }
-
     std::printf(
         "\nexpected shape: batching beats unbatched everywhere; at 2+ "
-        "models the shared schedule beats per-model grouping (the "
-        "window's row union is gathered once and scored under all models "
-        "— rows saved and models/window say how much sharing each window "
-        "found); p50_ms_* in the JSON is the closed-loop single-client "
-        "latency per model. Every response is checked bitwise against "
-        "offline Query() under its model, so the two schedules are "
-        "provably byte-identical to clients.\n");
+        "models the window's row union is gathered once and scored under "
+        "all models, so rows saved is positive (it and models/window say "
+        "how much sharing each window found); p50_ms_* in the JSON is the "
+        "closed-loop single-client latency per model. Every response is "
+        "checked bitwise against offline Query() under its model.\n");
 
     if (!all_ok) {
       std::fprintf(stderr,
@@ -713,11 +685,11 @@ int main(int argc, char** argv) {
       exit_code = 1;
     } else {
       for (size_t n : {size_t{2}, size_t{4}}) {
-        if (shared_qps[n] <= per_group_qps[n]) {
+        if (rows_saved[n] == 0) {
           std::fprintf(stderr,
-                       "FATAL: shared-window scoring loses to per-model "
-                       "grouping at %zu models (%.0f vs %.0f q/s)\n",
-                       n, shared_qps[n], per_group_qps[n]);
+                       "FATAL: the shared window saved no gathered rows "
+                       "at %zu models\n",
+                       n);
           exit_code = 1;
         }
       }

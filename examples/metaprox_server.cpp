@@ -23,8 +23,8 @@
 //   --port=P         listen port; 0 = OS-assigned (default 0)
 //   --window-us=W    micro-batch accumulation window in microseconds
 //                    (default 1000; 0 = rank immediately)
-//   --max-batch=B    max queries ranked per BatchQuery call (default 64)
-//   --threads=N      scoring threads for BatchQuery (0 = all cores;
+//   --max-batch=B    max queries ranked per batcher window (default 64)
+//   --threads=N      scoring threads for the batcher (0 = all cores;
 //                    default 1)
 //   --shards=S       index pair-table shards (offline option parity with
 //                    mgps_cli; irrelevant after LoadOffline)

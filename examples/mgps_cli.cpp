@@ -20,9 +20,9 @@
 // restores the offline phase, obtains the class model, and prints the
 // top-k answers for one query node — or, with --query-file, ranks every
 // node id listed in F (whitespace-separated) in one
-// SearchEngine::BatchQuery call (batch results are identical to per-id
-// queries; see core/query_batch.h). The saved index is byte-identical for
-// every --threads and --shards value.
+// IndexSnapshot::BatchQueryMulti call with the one class model (batch
+// results are identical to per-id queries; see core/query_batch.h). The
+// saved index is byte-identical for every --threads and --shards value.
 //
 // Models are first-class artifacts: --model=PATH loads the saved model at
 // PATH if present and otherwise trains once and saves it there (the
@@ -40,6 +40,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +51,7 @@
 #include "server/wire.h"  // server::FormatScore: shared exact score format
 #include "util/parse.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"  // util::ResolveNumThreads
+#include "util/thread_pool.h"
 
 using namespace metaprox;  // NOLINT
 
@@ -320,7 +322,13 @@ int main(int argc, char** argv) {
 
     if (batch_mode) {
       util::Stopwatch timer;
-      auto results = engine.BatchQuery(model, batch, k);
+      const size_t workers = util::ResolveNumThreads(num_threads);
+      std::optional<util::ThreadPool> pool;
+      if (workers > 1) pool.emplace(workers);
+      const std::span<const double> weights[] = {model.weights};
+      const std::vector<uint32_t> model_of(batch.size(), 0);
+      auto results = engine.Snapshot()->BatchQueryMulti(
+          weights, batch, model_of, k, pool ? &*pool : nullptr);
       const double seconds = timer.ElapsedSeconds();
       for (size_t i = 0; i < batch.size(); ++i) {
         if (tsv) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/index_snapshot.h"
-#include "core/query_batch.h"
 #include "graph/graph.h"
 #include "index/metagraph_vectors.h"
 #include "learning/dual_stage.h"
@@ -99,59 +98,23 @@ class SearchEngine {
                                  StructuralSimilarityCache* ss_cache = nullptr);
 
   /// Online phase: top-k nodes by pi(q, .; w). Requires a finalized index.
-  /// Like every engine read path, this routes through the engine's
-  /// current IndexSnapshot (see Snapshot()).
+  /// Routes through the engine's current IndexSnapshot (see Snapshot()).
+  /// Batches go straight to Snapshot()->BatchQueryMulti with a
+  /// caller-owned pool and scratch: one model is one weight vector and an
+  /// all-zero model_of.
   std::vector<std::pair<NodeId, double>> Query(const MgpModel& model, NodeId q,
                                                size_t k) const;
-
-  /// Batched online phase: one top-k result per entry of `queries` (aligned,
-  /// duplicates included). Groups the index walks across the batch — every
-  /// touched node row is gathered once, pair rows are read through the
-  /// candidate-slot postings — and scores queries in parallel on the
-  /// engine's ThreadPool (options().num_threads; lazily created, hence
-  /// non-const). Result i is identical — same nodes, same scores, same
-  /// tie-break order — to Query(model, queries[i], k), for any batch
-  /// composition and any thread count. Requires a finalized index.
-  /// Reuses one engine-owned BatchScratch across calls (epoch-marked, so a
-  /// call costs O(rows touched), not O(|V|)); like every non-const engine
-  /// method it must not run concurrently with itself. Query() stays const
-  /// and safe to call from other threads meanwhile.
-  ///
-  std::vector<std::vector<std::pair<NodeId, double>>> BatchQuery(
-      const MgpModel& model, std::span<const NodeId> queries, size_t k);
-
-  /// Shared-window, multi-model batch: ranks queries[i] under
-  /// models[model_of[i]], gathering the union of the window's touched node
-  /// rows ONCE and scoring each gathered row under every model in a single
-  /// walk through the multi-weight score kernels (see
-  /// BatchRankByProximityMulti). Result i is bitwise identical to
-  /// Query(model_of[i]'s model, queries[i], k) — same contract as
-  /// BatchQuery, extended over the model axis — for any window
-  /// composition, model mix, thread count and kernel. Same pool/scratch
-  /// behavior as BatchQuery (engine-owned scratch; not self-concurrent).
-  /// With a non-null `stats`, fills the gather-amortization counters.
-  ///
-  /// Multi-model serving sits entirely above these calls: weights are
-  /// per-call arguments, so one engine (one finalized index) serves any
-  /// number of per-class models — server::QueryServer's batcher issues one
-  /// BatchQueryMulti per k-group of each accumulation window (however many
-  /// models the window mixes), with model snapshots published/hot-swapped
-  /// by server::ModelRegistry and persisted via learning/model_io.h.
-  std::vector<std::vector<std::pair<NodeId, double>>> BatchQueryMulti(
-      std::span<const std::span<const double>> models,
-      std::span<const NodeId> queries, std::span<const uint32_t> model_of,
-      size_t k, BatchMultiStats* stats = nullptr);
 
   /// Proximity between two specific nodes.
   double Proximity(const MgpModel& model, NodeId x, NodeId y) const;
 
-  /// The engine's current immutable snapshot — the unit every read path
-  /// above pins, and what serving infrastructure shares (IndexMaintainer,
-  /// server::IndexRegistry). Created by FinalizeIndex()/LoadOffline();
-  /// null before the index is finalized. The snapshot aliases the
-  /// caller-owned graph without owning it: the graph must outlive any
-  /// snapshot obtained here (IndexMaintainer copies the graph into owned
-  /// state for exactly this reason).
+  /// The engine's current immutable snapshot — the unit every batched and
+  /// served read pins, and what serving infrastructure shares
+  /// (IndexMaintainer, server::IndexRegistry). Created by
+  /// FinalizeIndex()/LoadOffline(); null before the index is finalized.
+  /// The snapshot aliases the caller-owned graph without owning it: the
+  /// graph must outlive any snapshot obtained here (IndexMaintainer copies
+  /// the graph into owned state for exactly this reason).
   std::shared_ptr<const IndexSnapshot> Snapshot() const { return snapshot_; }
 
   /// Shared handle to the built index (finalized or not), for maintenance
@@ -200,15 +163,6 @@ class SearchEngine {
   util::Status LoadOffline(const std::string& path_prefix,
                            const ArtifactOptions& options = {});
 
-  [[deprecated("pass one ArtifactOptions instead of loose format/layout")]]
-  util::Status SaveOffline(const std::string& path_prefix,
-                           util::ArtifactFormat format,
-                           BinaryLayout layout = BinaryLayout::kCompact) const;
-
-  [[deprecated("pass ArtifactOptions instead of IndexLoadOptions")]]
-  util::Status LoadOffline(const std::string& path_prefix,
-                           const IndexLoadOptions& options);
-
  private:
   struct MatchTaskResult;
 
@@ -238,9 +192,6 @@ class SearchEngine {
   /// first parallel MatchSubset), then reused across mining, MatchAll and
   /// dual-stage rounds.
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Reused by every BatchQuery call (a serving loop's batches touch the
-  /// same tables over and over; see BatchScratch).
-  BatchScratch batch_scratch_;
 };
 
 }  // namespace metaprox

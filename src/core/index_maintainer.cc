@@ -215,7 +215,7 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
   auto rematch_one = [&](uint32_t i) {
     const MinedMetagraph& mined = (*metagraphs_)[i];
     RawCounts& led = ledger_[i];
-    if (options_.incremental && led.valid) {
+    if (led.valid) {
       // Enumerate only the embeddings using >= 1 new edge. The delta sink
       // gets the cap headroom the ledger left; if it saturates, the grown
       // total would reach the cap, where full-match counts turn

@@ -17,7 +17,7 @@
 //      one-commit-per-metagraph contract relaxes),
 //   4. publishes the result as a new IndexSnapshot generation.
 //
-// Step 3 is incremental by default: the maintainer keeps a per-metagraph
+// Step 3 is incremental: the maintainer keeps a per-metagraph
 // LEDGER of raw (pre-|Aut|-division) counts, and an affected metagraph
 // with a valid ledger is refreshed by delta-rooted enumeration
 // (matching/delta_match.h) — only the embeddings using at least one
@@ -75,12 +75,6 @@ struct MaintainerOptions {
   /// Build-time shards of the refreshed index. 0 = auto (scales with
   /// num_threads). Never affects the published index bytes.
   size_t num_shards = 0;
-  /// Refresh affected metagraphs by delta-rooted enumeration against the
-  /// raw-count ledgers instead of full re-matching wherever that is
-  /// provably byte-identical (see the file comment). Off = every affected
-  /// metagraph is fully re-matched each refresh (debug / A-B baseline;
-  /// bench_incremental's "rebuild" arm measures the same work).
-  bool incremental = true;
 };
 
 /// Counters of one Refresh() call.

@@ -2,8 +2,8 @@
 // state — graph + mined metagraph set + finalized vector index.
 //
 // The snapshot is the unit the online phase pins: every read path (Query /
-// BatchQuery / BatchQueryMulti, whether called through SearchEngine, the
-// query server's batcher, or a bench) holds a shared_ptr<const
+// BatchQueryMulti, whether called through SearchEngine, the query
+// server's batcher, or a bench) holds a shared_ptr<const
 // IndexSnapshot> for the duration of the call, so an IndexMaintainer can
 // publish a refreshed generation at any moment without invalidating
 // in-flight work — the same RCU discipline server::ModelRegistry applies
@@ -57,16 +57,12 @@ class IndexSnapshot {
   /// SearchEngine::Query (which now routes through its snapshot).
   QueryResult Query(const MgpModel& model, NodeId q, size_t k) const;
 
-  /// Batched online phase. Unlike the engine methods, pool and scratch are
+  /// Batched online phase, the one batch entry point: ranks queries[i]
+  /// under models[model_of[i]] (see BatchRankByProximityMulti; one model
+  /// is one weight vector and an all-zero model_of). Pool and scratch are
   /// caller-owned arguments — the snapshot itself holds no mutable state,
-  /// which is what makes it shareable. Results are bitwise identical to
-  /// per-query Query() for any pool/scratch (see BatchRankByProximity).
-  std::vector<QueryResult> BatchQuery(const MgpModel& model,
-                                      std::span<const NodeId> queries, size_t k,
-                                      util::ThreadPool* pool = nullptr,
-                                      BatchScratch* scratch = nullptr) const;
-
-  /// Shared-window, multi-model batch (see BatchRankByProximityMulti).
+  /// which is what makes it shareable. Result i is bitwise identical to
+  /// per-query Query() under its own model for any pool/scratch.
   std::vector<QueryResult> BatchQueryMulti(
       std::span<const std::span<const double>> models,
       std::span<const NodeId> queries, std::span<const uint32_t> model_of,

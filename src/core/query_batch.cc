@@ -11,33 +11,23 @@
 namespace metaprox {
 namespace {
 
-// Scores one query against its candidate postings, reading every m_x . w
-// from the batch-wide cache and every pair row through its finalized slot.
-// The arithmetic mirrors RankByProximity term for term (same accumulation
-// order inside each dot, same guards, same ranking order), which is what
-// makes the batched results bitwise-identical to the sequential path.
-QueryResult ScoreOne(const MetagraphVectorIndex& index,
-                     std::span<const double> weights, NodeId q, size_t k,
-                     const BatchScratch& scratch) {
-  const std::span<const NodeId> candidates = index.Candidates(q);
-  const std::span<const uint32_t> slots = index.CandidateSlots(q);
-  QueryResult scored;
-  scored.reserve(candidates.size());
-  const double q_dot = scratch.NodeDot(q);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const NodeId y = candidates[i];
-    if (y == q) continue;
-    const double numer = 2.0 * index.SlotDot(slots[i], weights);
+using Member = std::pair<NodeId, uint32_t>;  // (query node, model)
+
+// Scores candidate y of query node q for every member model of q's group,
+// appending to members' lists (aligned with `members`). The guards and
+// arithmetic are RankByProximity's term for term, which is what makes each
+// member's result bitwise the per-query one under its own model.
+void ScoreCandidate(NodeId y, const double* pair_dots, const double* q_dots,
+                    const double* y_dots, std::span<const Member> members,
+                    QueryResult* scored) {
+  for (size_t j = 0; j < members.size(); ++j) {
+    const uint32_t m = members[j].second;
+    const double numer = 2.0 * pair_dots[m];
     if (numer <= 0.0) continue;
-    const double denom = q_dot + scratch.NodeDot(y);
+    const double denom = q_dots[m] + y_dots[m];
     if (denom <= 0.0) continue;
-    scored.emplace_back(y, numer / denom);
+    scored[j].emplace_back(y, numer / denom);
   }
-  const size_t take = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<int64_t>(take),
-                    scored.end(), ProximityRankBefore);
-  scored.resize(take);
-  return scored;
 }
 
 }  // namespace
@@ -48,6 +38,7 @@ void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
     // Different graph (or first use): full (re)allocation. Epoch restarts
     // at 1 with every mark at 0, so nothing from the old graph survives.
     epoch_of_.assign(num_nodes, 0);
+    touch_order_.assign(num_nodes, 0);
     epoch_ = 0;
   }
   num_models_ = num_models;
@@ -62,65 +53,6 @@ void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
   touched_.reserve(touched_high_water_);
 }
 
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool,
-    BatchScratch* scratch) {
-  std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  const size_t num_nodes = index.num_graph_nodes();
-  for (NodeId q : queries) MX_CHECK(q < num_nodes);
-
-  // One-shot callers pay a fresh allocation here, exactly like the old
-  // dense scratch; callers in a serving loop pass a long-lived scratch and
-  // pay only for the rows this batch actually touches.
-  BatchScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  scratch->BeginBatch(num_nodes);
-
-  // Duplicate query nodes are scored once: collapse to a sorted unique set
-  // (sorted so the scatter below can binary-search its way back).
-  std::vector<NodeId> uniq(queries.begin(), queries.end());
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-
-  // Every node row the batch will read — the queries plus all their
-  // candidates — is marked once in the scratch, however many candidate
-  // sets share it. Marking is epoch-based: a batch touching T rows costs
-  // O(T), not O(|V|), no matter how large the graph.
-  for (NodeId q : uniq) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-  }
-
-  // Gather pass: each touched row's m_x . w exactly once, cached in the
-  // scratch for O(1) reads while scoring. Chunks write disjoint entries
-  // (the touched list is duplicate-free), so no synchronization.
-  const std::span<const NodeId> nodes = scratch->touched();
-  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      scratch->SetNodeDot(nodes[i], index.NodeDot(nodes[i], weights));
-    }
-  });
-
-  // Scoring pass: one independent top-k per unique query.
-  std::vector<QueryResult> uniq_results(uniq.size());
-  util::ParallelChunks(pool, uniq.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      uniq_results[i] = ScoreOne(index, weights, uniq[i], k, *scratch);
-    }
-  });
-
-  // Scatter back into batch order; duplicates copy the shared result.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t pos = static_cast<size_t>(
-        std::lower_bound(uniq.begin(), uniq.end(), queries[i]) - uniq.begin());
-    results[i] = uniq_results[pos];
-  }
-  return results;
-}
-
 std::vector<QueryResult> BatchRankByProximityMulti(
     const MetagraphVectorIndex& index,
     std::span<const std::span<const double>> models,
@@ -133,12 +65,10 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   for (std::span<const double> w : models) {
     MX_CHECK(w.size() == index.num_metagraphs());
   }
+  if (stats != nullptr) *stats = BatchMultiStats{};
 
   std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = BatchMultiStats{};
-    return results;
-  }
+  if (queries.empty()) return results;
 
   const size_t num_nodes = index.num_graph_nodes();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -146,14 +76,17 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     MX_CHECK(model_of[i] < n_models);
   }
 
+  // One-shot callers pay a fresh O(|V|) allocation here; callers in a
+  // serving loop pass a long-lived scratch and pay only for the rows each
+  // batch actually touches.
   BatchScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
 
   // Duplicates of a (query, model) pair share one scored result: collapse
   // to sorted unique pairs. Sorting by (node, model) also groups a node's
-  // model memberships contiguously for the scoring pass, and keeps the
+  // model memberships contiguously for the scoring passes, and keeps the
   // scatter a binary search.
-  std::vector<std::pair<NodeId, uint32_t>> uniq;
+  std::vector<Member> uniq;
   uniq.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     uniq.emplace_back(queries[i], model_of[i]);
@@ -161,22 +94,32 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
 
-  // Unique query NODES (a node queried under several models still gathers
-  // once); uniq is sorted by node first, so this falls out in order.
+  // One group per unique query NODE (a node queried under several models
+  // still gathers and walks its candidates once): qnodes[g] is the node,
+  // uniq[group_begin[g] .. group_begin[g + 1]) its members.
   std::vector<NodeId> qnodes;
+  std::vector<size_t> group_begin;
   qnodes.reserve(uniq.size());
-  for (const auto& [q, m] : uniq) {
-    if (qnodes.empty() || qnodes.back() != q) qnodes.push_back(q);
+  group_begin.reserve(uniq.size() + 1);
+  for (size_t i = 0; i < uniq.size(); ++i) {
+    if (i == 0 || uniq[i].first != uniq[i - 1].first) {
+      qnodes.push_back(uniq[i].first);
+      group_begin.push_back(i);
+    }
   }
+  group_begin.push_back(uniq.size());
+  const uint32_t num_groups = static_cast<uint32_t>(qnodes.size());
+  auto members_of = [&](uint32_t g) {
+    return std::span<const Member>(uniq).subspan(
+        group_begin[g], group_begin[g + 1] - group_begin[g]);
+  };
 
-  // Optional what-if accounting: how many rows N independent per-model
-  // BatchRankByProximity calls would have gathered for this same window.
-  // Costs one extra marking walk per model, no dots — only taken when the
-  // caller wants the counters.
-  if (stats != nullptr) {
-    *stats = BatchMultiStats{};
+  // Optional what-if accounting: how many rows N one-model calls would
+  // have gathered for this same window. With two or more models that costs
+  // one extra marking walk per model, no dots; with one it is the union.
+  if (stats != nullptr && n_models > 1) {
     for (uint32_t m = 0; m < n_models; ++m) {
-      scratch->BeginBatch(num_nodes);
+      scratch->BeginBatch(num_nodes, 1);
       for (const auto& [q, qm] : uniq) {
         if (qm != m) continue;
         scratch->MarkTouched(q);
@@ -187,131 +130,149 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   }
 
   // The shared window: mark the UNION of every query's touched rows, once.
+  // Query nodes go first, in group order, so TouchOrder(y) < num_groups
+  // says y is a query node of this window and names its group. Two query
+  // nodes that are each other's candidates (a mutual pair) share one pair
+  // row — the index gives (a, b) and (b, a) the same slot — so the walk
+  // collects that slot once, from its lower group: owner-major and in
+  // candidate order, duplicate-free with no sort.
   scratch->BeginBatch(num_nodes, n_models);
-  for (NodeId q : qnodes) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
+  for (NodeId q : qnodes) scratch->MarkTouched(q);
+  std::vector<uint32_t> shared_slots;
+  std::vector<uint32_t> shared_partner;  // the upper group of each pair
+  std::vector<size_t> owned_begin(num_groups + 1);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    owned_begin[g] = shared_slots.size();
+    const std::span<const NodeId> candidates = index.Candidates(qnodes[g]);
+    const std::span<const uint32_t> slots = index.CandidateSlots(qnodes[g]);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      // A first touch cannot be a query node: those are all marked.
+      if (scratch->MarkTouched(candidates[i])) continue;
+      const uint32_t partner = scratch->TouchOrder(candidates[i]);
+      if (partner < num_groups && partner > g) {
+        shared_slots.push_back(slots[i]);
+        shared_partner.push_back(partner);
+      }
+    }
+  }
+  owned_begin[num_groups] = shared_slots.size();
+  const size_t shared_pairs = shared_slots.size();
+
+  // Each upper group finds its mutual pairs through a CSR of (pair,
+  // owner group) entries — O(shared pairs), no search.
+  std::vector<size_t> inbound_begin(num_groups + 1, 0);
+  for (uint32_t partner : shared_partner) ++inbound_begin[partner + 1];
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    inbound_begin[g + 1] += inbound_begin[g];
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> inbound(shared_pairs);
+  {
+    std::vector<size_t> cursor(inbound_begin.begin(), inbound_begin.end() - 1);
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      for (size_t p = owned_begin[g]; p < owned_begin[g + 1]; ++p) {
+        inbound[cursor[shared_partner[p]]++] = {static_cast<uint32_t>(p), g};
+      }
+    }
   }
 
   kernels::MultiWeightSet wset;
   wset.Assign(models);
 
-  // Gather pass, all models at once: each touched row is walked (and its
-  // count transform computed) exactly once, filling the row's n_models
-  // cached dots through the multi-weight kernel.
+  // Gather pass, all models at once, over the touched node rows followed
+  // by the shared pair rows: each row is walked (and its count transform
+  // computed) exactly once, filling its n_models dots. Chunks write
+  // disjoint outputs (both lists are duplicate-free), so no
+  // synchronization.
   const std::span<const NodeId> nodes = scratch->touched();
-  if (stats != nullptr) stats->rows_gathered = nodes.size();
+  if (stats != nullptr) {
+    stats->rows_gathered = nodes.size();
+    if (n_models == 1) stats->rows_per_model = nodes.size();
+    stats->shared_pair_rows = shared_pairs;
+  }
   const kernels::RowTransform transform = index.row_transform();
-  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
+  std::vector<double> shared_dots(shared_pairs * n_models);
+  util::ParallelChunks(pool, nodes.size() + shared_pairs, [&](size_t begin,
+                                                              size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
     for (size_t i = begin; i < end; ++i) {
-      kernels::RowDotMulti(index.NodeRow(nodes[i]), wset, transform,
-                           scratch->MutableNodeDots(nodes[i]), lanes.data());
-    }
-  });
-
-  // Pair rows between two query nodes of the window are read by both
-  // endpoints' scorings: precompute those once for all models. Collected
-  // from both directions and de-duplicated by slot, so a symmetric slot is
-  // dotted exactly once however the index numbered it.
-  std::vector<uint32_t> shared_slots;
-  for (NodeId q : qnodes) {
-    const std::span<const NodeId> candidates = index.Candidates(q);
-    const std::span<const uint32_t> slots = index.CandidateSlots(q);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const NodeId y = candidates[i];
-      if (y == q) continue;
-      if (std::binary_search(qnodes.begin(), qnodes.end(), y)) {
-        shared_slots.push_back(slots[i]);
+      if (i < nodes.size()) {
+        kernels::RowDotMulti(index.NodeRow(nodes[i]), wset, transform,
+                             scratch->MutableNodeDots(nodes[i]), lanes.data());
+      } else {
+        const size_t p = i - nodes.size();
+        kernels::RowDotMulti(index.PairRow(shared_slots[p]), wset, transform,
+                             shared_dots.data() + p * n_models, lanes.data());
       }
     }
-  }
-  std::sort(shared_slots.begin(), shared_slots.end());
-  shared_slots.erase(std::unique(shared_slots.begin(), shared_slots.end()),
-                     shared_slots.end());
-  if (stats != nullptr) stats->shared_pair_rows = shared_slots.size();
-
-  std::vector<double> shared_dots(shared_slots.size() * n_models);
-  util::ParallelChunks(pool, shared_slots.size(), [&](size_t begin,
-                                                      size_t end) {
-    std::vector<double> lanes(wset.lane_scratch_size());
-    for (size_t i = begin; i < end; ++i) {
-      kernels::RowDotMulti(index.PairRow(shared_slots[i]), wset, transform,
-                           shared_dots.data() + i * n_models, lanes.data());
-    }
   });
 
-  // Offsets of each node's run of (node, model) members in uniq, with a
-  // sentinel: group g (aligned with qnodes) spans
-  // uniq[group_begin[g] .. group_begin[g + 1]).
-  std::vector<size_t> group_begin;
-  group_begin.reserve(qnodes.size() + 1);
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    if (i == 0 || uniq[i].first != uniq[i - 1].first) group_begin.push_back(i);
-  }
-  group_begin.push_back(uniq.size());
-
   // Scoring pass: one group per query node, walking its candidate postings
-  // ONCE for all member models. Each candidate's pair row yields its
-  // n_models dots in one kernel call (or a precomputed shared-slot read),
-  // then every member applies ScoreOne's exact guards and arithmetic under
-  // its own model — so member (q, m)'s result is bitwise ScoreOne(q)
-  // under weights m.
+  // ONCE for all its member models. Each candidate's pair row yields its
+  // n_models dots in one kernel call, or is read from the shared dots: a
+  // lower group's mutual pairs come up in the order the marking walk
+  // collected them, and an upper group skips its mutual candidates in the
+  // walk and scores them from its inbound entries instead.
   std::vector<QueryResult> uniq_results(uniq.size());
-  util::ParallelChunks(pool, qnodes.size(), [&](size_t begin, size_t end) {
+  util::ParallelChunks(pool, num_groups, [&](size_t begin, size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
     std::vector<double> local_dots(n_models);
-    for (size_t g = begin; g < end; ++g) {
+    // Lists grow in worker-local vectors and move out when ranked:
+    // growing them in place would put neighbouring groups' vector headers,
+    // written on every append, in one cache line across workers.
+    std::vector<QueryResult> scored;
+    for (uint32_t g = static_cast<uint32_t>(begin); g < end; ++g) {
       const NodeId q = qnodes[g];
-      const size_t members_begin = group_begin[g];
-      const size_t members_end = group_begin[g + 1];
-      const size_t members = members_end - members_begin;
       const std::span<const NodeId> candidates = index.Candidates(q);
       const std::span<const uint32_t> slots = index.CandidateSlots(q);
       const double* q_dots = scratch->NodeDots(q);
-
-      std::vector<QueryResult> scored(members);
+      const std::span<const Member> members = members_of(g);
+      scored.resize(members.size());
       for (QueryResult& s : scored) s.reserve(candidates.size());
-
+      size_t next_owned = owned_begin[g];
+      // Read only by the MX_DCHECK below, which release builds compile out.
+      [[maybe_unused]] size_t skipped = 0;
       for (size_t i = 0; i < candidates.size(); ++i) {
         const NodeId y = candidates[i];
         if (y == q) continue;
-        const double* pair_dots;
-        const auto it = std::lower_bound(shared_slots.begin(),
-                                         shared_slots.end(), slots[i]);
-        if (it != shared_slots.end() && *it == slots[i]) {
-          pair_dots = shared_dots.data() +
-                      static_cast<size_t>(it - shared_slots.begin()) * n_models;
+        const double* pair_dots = local_dots.data();
+        const uint32_t partner = scratch->TouchOrder(y);
+        if (partner < num_groups) {
+          if (partner < g) {
+            ++skipped;
+            continue;
+          }
+          pair_dots = shared_dots.data() + next_owned++ * n_models;
         } else {
           kernels::RowDotMulti(index.PairRow(slots[i]), wset, transform,
                                local_dots.data(), lanes.data());
-          pair_dots = local_dots.data();
         }
-        const double* y_dots = scratch->NodeDots(y);
-        for (size_t j = 0; j < members; ++j) {
-          const uint32_t m = uniq[members_begin + j].second;
-          const double numer = 2.0 * pair_dots[m];
-          if (numer <= 0.0) continue;
-          const double denom = q_dots[m] + y_dots[m];
-          if (denom <= 0.0) continue;
-          scored[j].emplace_back(y, numer / denom);
-        }
+        ScoreCandidate(y, pair_dots, q_dots, scratch->NodeDots(y), members,
+                       scored.data());
       }
-
-      for (size_t j = 0; j < members; ++j) {
+      MX_DCHECK(next_owned == owned_begin[g + 1]);
+      MX_DCHECK(skipped == inbound_begin[g + 1] - inbound_begin[g]);
+      for (size_t e = inbound_begin[g]; e < inbound_begin[g + 1]; ++e) {
+        const auto [pair, owner] = inbound[e];
+        const NodeId y = qnodes[owner];
+        ScoreCandidate(y, shared_dots.data() + pair * n_models, q_dots,
+                       scratch->NodeDots(y), members, scored.data());
+      }
+      // ProximityRankBefore is total, so the top k do not depend on the
+      // order the candidates were scored in.
+      for (size_t j = 0; j < members.size(); ++j) {
         QueryResult& s = scored[j];
         const size_t take = std::min(k, s.size());
         std::partial_sort(s.begin(), s.begin() + static_cast<int64_t>(take),
                           s.end(), ProximityRankBefore);
         s.resize(take);
-        uniq_results[members_begin + j] = std::move(s);
+        uniq_results[group_begin[g] + j] = std::move(s);
       }
     }
   });
 
   // Scatter back into batch order; duplicates copy the shared result.
   for (size_t i = 0; i < queries.size(); ++i) {
-    const std::pair<NodeId, uint32_t> key(queries[i], model_of[i]);
+    const Member key(queries[i], model_of[i]);
     const size_t pos = static_cast<size_t>(
         std::lower_bound(uniq.begin(), uniq.end(), key) - uniq.begin());
     results[i] = uniq_results[pos];

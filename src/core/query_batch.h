@@ -1,40 +1,39 @@
-// Batched online phase: ranks many queries against the finalized metagraph
-// vector index in one pass, amortizing the index walks a per-query
-// SearchEngine::Query() repays on every call.
+// Batched online phase: ranks a window of queries — each under its own
+// weight vector — against the finalized metagraph vector index in one
+// pass, amortizing the index walks a per-query SearchEngine::Query()
+// repays on every call. BatchRankByProximityMulti is the ONE batch entry
+// point: a single-model batch is the same call with one weight vector and
+// an all-zero model_of.
 //
-// What a batch amortizes:
-//   * duplicate query nodes are scored once and their result copied;
-//   * every node row touched by the batch (queries plus all their
-//     candidates) has m_x . w computed exactly once, instead of once per
-//     query that reaches it — candidate sets of related queries overlap
-//     heavily, so this is the dominant saving;
+// What a window amortizes:
+//   * duplicate (query, model) pairs are scored once and their result
+//     copied;
+//   * every node row touched by the window (queries plus all their
+//     candidates) is walked exactly once, however many candidate sets and
+//     models share it: its N dots m_x . w_m come out of one walk through
+//     the multi-weight score kernels (core/score_kernels.h; interleaved
+//     weights, one count transform per entry, so an extra model costs
+//     about one fma per row entry; at N = 1 the kernel is the
+//     single-weight one);
 //   * pair rows are read through the index's candidate-slot postings
-//     (MetagraphVectorIndex::CandidateSlots/SlotDot), a direct array walk
-//     with no per-pair hash probe;
-//   * distinct queries score independently, so the scoring pass fans out
-//     over a util::ThreadPool.
-//
-// The MULTI entry point (BatchRankByProximityMulti) extends the batch
-// across weight vectors — gather once, score many: a window mixing N
-// models runs ONE node-dedup + row-gather pass over the union of every
-// query's touched rows, and each gathered row is scored under all N
-// weight vectors in one walk through the multi-weight score kernels
-// (core/score_kernels.h, interleaved weights, one transform per entry),
-// driving the marginal cost of an extra model toward one fma per row
-// entry. Pair rows shared between two queries of the window (q1, q2
-// mutual candidates) are likewise walked once for all models.
+//     (MetagraphVectorIndex::CandidateSlots), a direct array walk with no
+//     per-pair hash probe, and a pair row between two query nodes of the
+//     window (mutual candidates) is walked once for both endpoints and all
+//     models;
+//   * distinct query nodes score independently, so the gather and scoring
+//     passes fan out over a util::ThreadPool.
 //
 // Determinism contract (the batched counterpart of the offline pipeline's
-// contract in docs/ARCHITECTURE.md): for any batch composition and any
-// thread count, result i is IDENTICAL — same nodes, same (bitwise) scores,
-// same tie-break order — to RankByProximity(index, weights, queries[i],
-// Candidates(queries[i]), k), i.e. to what SearchEngine::Query(model,
-// queries[i], k) returns; for the multi path, under queries[i]'s OWN model
-// (weights = models[model_of[i]]). Every dot product — per-query, batched,
-// multi, scalar or SIMD — evaluates through the same score kernel with the
-// same canonical accumulation, and the shared ProximityRankBefore order is
-// total, so neither parallelism nor kernel dispatch has anything to
-// reorder.
+// contract in docs/ARCHITECTURE.md): for any window composition, model
+// mix and thread count, result i is IDENTICAL — same nodes, same
+// (bitwise) scores, same tie-break order — to RankByProximity(index,
+// models[model_of[i]], queries[i], Candidates(queries[i]), k), i.e. to
+// what SearchEngine::Query(model, queries[i], k) returns under queries[i]'s
+// OWN model. Every dot product — per-query, batched, scalar or SIMD,
+// single- or multi-weight — evaluates through the same score kernel with
+// the same canonical accumulation, and the shared ProximityRankBefore
+// order is total, so neither parallelism, scoring order nor kernel
+// dispatch has anything to reorder.
 #ifndef METAPROX_CORE_QUERY_BATCH_H_
 #define METAPROX_CORE_QUERY_BATCH_H_
 
@@ -55,19 +54,18 @@ namespace metaprox {
 using QueryResult = std::vector<std::pair<NodeId, double>>;
 
 /// Reusable epoch-marked scratch for the batched online path: the
-/// batch-wide node dedup mark and node-dot cache, dense over the graph's
-/// nodes but allocated once and never cleared between batches.
+/// batch-wide node dedup mark, touch order and node-dot cache, dense over
+/// the graph's nodes but allocated once and never cleared between batches.
 /// BeginBatch() bumps an epoch instead of zeroing, so a long-lived caller
-/// (the query server's batch loop, SearchEngine::BatchQuery) pays O(rows
+/// (the query server's batcher, a bench's replay loop) pays O(rows
 /// touched) per batch — not O(|V|) — which is what makes tiny batches on
 /// multi-million-node graphs cheap.
 ///
-/// Multi-model batches widen the dot cache: BeginBatch(n, m) lays the
-/// cache out as node_dots_[x * m + model], still epoch-marked per NODE
-/// (one gather fills a row's m dots together). The cache grows
-/// monotonically to the largest (nodes x models) seen and the epoch
-/// expires stale layouts, so alternating single- and multi-model batches
-/// never reallocates back and forth.
+/// BeginBatch(n, m) lays the dot cache out as node_dots_[x * m + model],
+/// epoch-marked per NODE (one gather fills a row's m dots together). The
+/// cache grows monotonically to the largest (nodes x models) seen and the
+/// epoch expires stale layouts, so alternating one- and many-model
+/// batches never reallocates back and forth.
 ///
 /// A scratch belongs to ONE caller at a time: concurrent batch calls must
 /// use distinct scratches. (The gather pass's workers may write dots of
@@ -76,8 +74,8 @@ using QueryResult = std::vector<std::pair<NodeId, double>>;
 class BatchScratch {
  public:
   BatchScratch() = default;
-  // Movable (so owners like SearchEngine stay movable) but not copyable —
-  // a copy would silently double the O(|V|) tables.
+  // Movable (so owners stay movable) but not copyable — a copy would
+  // silently double the O(|V|) tables.
   BatchScratch(BatchScratch&&) = default;
   BatchScratch& operator=(BatchScratch&&) = default;
   MX_DISALLOW_COPY_AND_ASSIGN(BatchScratch);
@@ -89,7 +87,7 @@ class BatchScratch {
   /// grow. The touched list's capacity is pre-reserved to the high-water
   /// mark of earlier batches, so a long-lived serving scratch stops
   /// paying re-growth churn after warm-up.
-  void BeginBatch(size_t num_nodes, size_t num_models = 1);
+  void BeginBatch(size_t num_nodes, size_t num_models);
 
   /// Marks x as touched by the current batch; returns true on x's first
   /// touch since BeginBatch(). Stale marks from earlier batches are
@@ -97,8 +95,17 @@ class BatchScratch {
   bool MarkTouched(NodeId x) {
     if (epoch_of_[x] == epoch_) return false;
     epoch_of_[x] = epoch_;
+    touch_order_[x] = static_cast<uint32_t>(touched_.size());
     touched_.push_back(x);
     return true;
+  }
+
+  /// Position of a marked node in touched(): the batch path marks its
+  /// query nodes first, so an order below the query count names the query
+  /// node it is (an O(1) mutual-candidate test).
+  uint32_t TouchOrder(NodeId x) const {
+    MX_DCHECK(epoch_of_[x] == epoch_);
+    return touch_order_[x];
   }
 
   /// Rows marked since BeginBatch(), in first-touch order.
@@ -110,21 +117,11 @@ class BatchScratch {
   /// Models per node this batch caches (BeginBatch's num_models).
   size_t num_models() const { return num_models_; }
 
-  /// Caches / reads m_x . w for a row marked in the current batch (model
-  /// 0 when the batch is multi-model). Reading an unmarked row is a bug
-  /// (the slot may hold a stale dot from an earlier batch); debug builds
-  /// check (MX_DCHECK).
-  void SetNodeDot(NodeId x, double dot) {
-    node_dots_[static_cast<size_t>(x) * num_models_] = dot;
-  }
-  double NodeDot(NodeId x) const {
-    MX_DCHECK(epoch_of_[x] == epoch_);
-    return node_dots_[static_cast<size_t>(x) * num_models_];
-  }
-
   /// The num_models()-wide dot row of a marked node: NodeDots(x)[m] is
   /// m_x . w_m. MutableNodeDots is the gather pass's write target (rows of
-  /// distinct nodes may be written concurrently).
+  /// distinct nodes may be written concurrently). Reading an unmarked row
+  /// is a bug (it may hold a stale dot from an earlier batch); debug
+  /// builds check (MX_DCHECK).
   double* MutableNodeDots(NodeId x) {
     return node_dots_.data() + static_cast<size_t>(x) * num_models_;
   }
@@ -136,51 +133,45 @@ class BatchScratch {
  private:
   uint64_t epoch_ = 0;  // 0 = no batch yet; epoch_of_ entries start at 0
   std::vector<uint64_t> epoch_of_;  // epoch_of_[x] == epoch_ <=> x touched
+  std::vector<uint32_t> touch_order_;  // x's index in touched_, if marked
   std::vector<double> node_dots_;   // [x * num_models_ + m], valid if marked
   std::vector<NodeId> touched_;
   size_t num_models_ = 1;
   size_t touched_high_water_ = 0;  // max touched_.size() across batches
 };
 
-/// Ranks every query of `queries` by descending pi(q, .; weights) over its
-/// candidate set, returning one QueryResult per query (aligned with
-/// `queries`, duplicates included). Requires a finalized index. With a
-/// non-null `pool` the per-query scoring runs on its workers; the results
-/// are identical for any pool size, including none. With a non-null
-/// `scratch` the batch reuses that scratch's tables instead of allocating
-/// O(|V|) fresh ones — results are identical either way, whatever earlier
-/// batches the scratch served.
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool = nullptr,
-    BatchScratch* scratch = nullptr);
-
 /// Gather-amortization accounting of one BatchRankByProximityMulti call,
 /// for callers (the query server, benches) that surface the shared-window
-/// saving. Filled only when requested (the what-if pass costs extra
-/// candidate walks).
+/// saving. Filled only when requested (with two or more models the what-if
+/// pass costs extra candidate walks).
 struct BatchMultiStats {
   /// Node rows the shared window gathered (dotted once, all models).
   uint64_t rows_gathered = 0;
-  /// Node rows N per-model BatchRankByProximity calls would have gathered
-  /// for the same window (the sum over models of each model's own union).
-  /// rows_per_model - rows_gathered is the saving; equal when one model.
+  /// Node rows N one-model calls would have gathered for the same window
+  /// (the sum over models of each model's own union). rows_per_model -
+  /// rows_gathered is the saving; equal when one model.
   uint64_t rows_per_model = 0;
-  /// Pair rows between two query nodes of the window, precomputed once
-  /// for all models instead of once per endpoint per model.
+  /// Pair rows between two query nodes of the window, dotted once for
+  /// both endpoints and all models instead of once per endpoint.
   uint64_t shared_pair_rows = 0;
 };
 
-/// The shared-window, multi-model batch: ranks queries[i] under
-/// models[model_of[i]] (N weight vectors, each of the index's weight
-/// count), gathering the union of touched node rows ONCE and scoring every
-/// gathered row under all N models through the multi-weight score
-/// kernels. Result i is identical — same nodes, same bitwise scores, same
-/// tie-break order — to the per-query path under model_of[i]'s weights,
-/// and therefore to per-model BatchRankByProximity, for any window
-/// composition, model mix, thread count and kernel. `model_of` is aligned
-/// with `queries`; duplicates of a (query, model) pair share one scored
-/// result. Pool/scratch semantics as above.
+/// The batch: ranks queries[i] under models[model_of[i]] (N >= 1 weight
+/// vectors, each of the index's weight count), gathering the union of
+/// touched node rows ONCE and scoring every gathered row under all N
+/// models through the multi-weight score kernels, returning one
+/// QueryResult per query (aligned with `queries`, duplicates included).
+/// Result i is identical — same nodes, same bitwise scores, same tie-break
+/// order — to the per-query path under model_of[i]'s weights, for any
+/// window composition, model mix, thread count and kernel. `model_of` is
+/// aligned with `queries`; duplicates of a (query, model) pair share one
+/// scored result. Requires a finalized index.
+///
+/// With a non-null `pool` the gather and scoring passes run on its
+/// workers; the results are identical for any pool size, including none.
+/// With a non-null `scratch` the batch reuses that scratch's tables
+/// instead of allocating O(|V|) fresh ones — results are identical either
+/// way, whatever earlier batches the scratch served.
 std::vector<QueryResult> BatchRankByProximityMulti(
     const MetagraphVectorIndex& index,
     std::span<const std::span<const double>> models,

@@ -198,6 +198,15 @@ double RowDot(std::span<const RowEntry> row, std::span<const double> weights,
 
 void RowDotMulti(std::span<const RowEntry> row, const MultiWeightSet& weights,
                  RowTransform transform, double* out, double* lanes) {
+  if (weights.num_models() == 1) {
+    // One model's weights are contiguous: the single-weight kernel's
+    // vector loop beats the multi kernel's per-entry lanes in memory, and
+    // its bits are the same by the contract above.
+    *out = GetDispatch().row_dot(
+        row, std::span<const double>(weights.row(0), weights.num_weights()),
+        transform);
+    return;
+  }
   GetDispatch().row_dot_multi(row, weights, transform, out, lanes);
 }
 

@@ -4,9 +4,9 @@
 // (m_x . w + m_y . w) — bottoms out in "sparse count row . dense weight
 // vector" dots over (metagraph index, raw count) entries, with the index's
 // count transform (raw or log1p) applied per entry. This header is the ONE
-// implementation of that dot: per-query Query(), the batched path
-// (core/query_batch), and the shared-window multi-model path all route
-// through RowDot/RowDotMulti, so "batched == per-query, bitwise" reduces
+// implementation of that dot: per-query Query() and the batched
+// shared-window path (core/query_batch) both route through
+// RowDot/RowDotMulti, so "batched == per-query, bitwise" reduces
 // to a property of a single function per build.
 //
 // Canonical accumulation semantics (every kernel, scalar or SIMD, single
@@ -127,7 +127,7 @@ class MultiWeightSet {
 /// weights.lane_scratch_size() doubles (scratch so the hot path never
 /// allocates; one per worker thread, reused across rows). Bitwise
 /// contract: out[m] == RowDot(row, w_m, transform) for every m, under
-/// either kernel.
+/// either kernel. With one model it IS the dispatched RowDot.
 void RowDotMulti(std::span<const RowEntry> row, const MultiWeightSet& weights,
                  RowTransform transform, double* out, double* lanes);
 

@@ -253,9 +253,7 @@ class MetagraphVectorIndex {
     return committed_[metagraph_index] != 0;
   }
 
-  /// m_x . w (transformed counts). The batched online path
-  /// (core/query_batch.cc) calls this once per node row touched by a
-  /// batch, caching the results across queries.
+  /// m_x . w (transformed counts).
   ///
   /// NodeDot/PairDot/SlotDot all evaluate through the shared score
   /// kernels (core/score_kernels.h) — one canonical accumulation, scalar
@@ -289,7 +287,10 @@ class MetagraphVectorIndex {
   /// Pair-row slots aligned with Candidates(x): CandidateSlots(x)[i] is the
   /// finalized pair-table slot of the (x, Candidates(x)[i]) row, usable with
   /// SlotDot(). Lets the online path walk a query's pair rows directly with
-  /// no per-pair hash probe. Requires Finalize().
+  /// no per-pair hash probe. The relation is symmetric: y is a candidate of
+  /// x exactly when x is one of y, and both entries carry the same slot
+  /// (the batch path dots a pair row once for both endpoints on that
+  /// basis). Requires Finalize().
   std::span<const uint32_t> CandidateSlots(NodeId x) const;
 
   /// m_xy . w for the pair row in finalized slot `slot` (as returned by

@@ -29,7 +29,7 @@ double MgpProximity(const MetagraphVectorIndex& index,
 
 /// The one ranking order of the online phase: descending proximity, ties
 /// broken by ascending node id. Shared by the sequential (RankByProximity)
-/// and batched (BatchRankByProximity) paths — it is a strict total order
+/// and batched (BatchRankByProximityMulti) paths — it is a strict total order
 /// over (node, score) entries with distinct nodes, which is what makes
 /// their top-k outputs comparable entry-for-entry.
 inline bool ProximityRankBefore(const std::pair<NodeId, double>& a,

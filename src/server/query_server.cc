@@ -358,7 +358,7 @@ bool QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                   std::to_string(options_.max_k));
     return true;
   }
-  // Validate here, not in the batcher: BatchQuery MX_CHECKs its node
+  // Validate here, not in the batcher: BatchQueryMulti MX_CHECKs its node
   // ids, and a bad remote request must be an 'E' response, not a crash.
   // The registry only ever publishes graphs that grow (Publish refuses
   // shrinks), so a node valid now stays valid for the snapshot the query
@@ -729,9 +729,7 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
   // identical weights, and a query that pinned a pre-RELOAD model (or a
   // pre-REFRESH index generation) simply rides along as its own column
   // (or its own group) — determinism per request, whatever the
-  // interleaving. With shared_window_scoring off, the legacy schedule
-  // (one BatchQuery per (index, model, k) group) ranks the same window
-  // to the same bytes, one model at a time.
+  // interleaving.
   struct Group {
     size_t k = 0;
     const IndexSnapshot* index = nullptr;  // kept alive by batch entries
@@ -742,7 +740,6 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     std::vector<uint32_t> model_of;
     std::vector<QueryResult> results;
   };
-  const bool shared = options_.shared_window_scoring;
   std::vector<Group> groups;
   std::vector<std::pair<size_t, size_t>> member_of(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -751,15 +748,13 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     const IndexSnapshot* index = batch[i].index.get();
     size_t g = 0;
     while (g < groups.size() &&
-           (groups[g].k != batch[i].k || groups[g].index != index ||
-            (!shared && groups[g].models[0] != model))) {
+           (groups[g].k != batch[i].k || groups[g].index != index)) {
       ++g;
     }
     if (g == groups.size()) {
       groups.emplace_back();
       groups.back().k = batch[i].k;
       groups.back().index = index;
-      if (!shared) groups.back().models.push_back(model);
     }
     Group& group = groups[g];
     uint32_t m = 0;
@@ -770,50 +765,28 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     group.model_of.push_back(m);
   }
 
-  // Distinct snapshots across the whole window, for the models_per_window
-  // counter (same value either schedule).
+  // Snapshots per group, summed over the window's groups, for the
+  // models_per_window counter.
   size_t window_models = 0;
   for (const Group& group : groups) window_models += group.models.size();
-  if (!shared) {
-    // Legacy groups split one snapshot across k values; count distinct
-    // snapshots window-wide instead so the two schedules report the same
-    // mix.
-    std::vector<const ServableModel*> distinct;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (expired[i]) continue;
-      const ServableModel* model = batch[i].model.get();
-      if (std::find(distinct.begin(), distinct.end(), model) ==
-          distinct.end()) {
-        distinct.push_back(model);
-      }
-    }
-    window_models = distinct.size();
-  }
 
   for (Group& group : groups) {
     // The batcher is the pool/scratch's only user; each call ranks on the
     // group's pinned snapshot (stateless, so sharing one scratch across
     // generations is fine — it is epoch-marked per call).
     BatchMultiStats mstats;
-    if (shared) {
-      std::vector<std::span<const double>> weights;
-      weights.reserve(group.models.size());
-      for (const ServableModel* model : group.models) {
-        weights.push_back(model->model.weights);
-      }
-      group.results = group.index->BatchQueryMulti(
-          weights, group.nodes, group.model_of, group.k, pool_.get(),
-          &batch_scratch_, &mstats);
-      std::vector<uint64_t> served(group.models.size(), 0);
-      for (uint32_t m : group.model_of) ++served[m];
-      for (size_t m = 0; m < group.models.size(); ++m) {
-        group.models[m]->CountServed(served[m]);
-      }
-    } else {
-      group.results =
-          group.index->BatchQuery(group.models[0]->model, group.nodes,
-                                  group.k, pool_.get(), &batch_scratch_);
-      group.models[0]->CountServed(group.nodes.size());
+    std::vector<std::span<const double>> weights;
+    weights.reserve(group.models.size());
+    for (const ServableModel* model : group.models) {
+      weights.push_back(model->model.weights);
+    }
+    group.results = group.index->BatchQueryMulti(
+        weights, group.nodes, group.model_of, group.k, pool_.get(),
+        &batch_scratch_, &mstats);
+    std::vector<uint64_t> served(group.models.size(), 0);
+    for (uint32_t m : group.model_of) ++served[m];
+    for (size_t m = 0; m < group.models.size(); ++m) {
+      group.models[m]->CountServed(served[m]);
     }
     mx::MutexLock lock(stats_mu_);
     ++stats_.batches;

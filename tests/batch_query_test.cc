@@ -1,11 +1,16 @@
-// The batched online path's determinism contract: BatchQuery /
-// BatchRankByProximity must return results IDENTICAL — same nodes, same
-// (bitwise) scores, same tie-break order — to N independent Query() calls,
-// for every batch size, batch composition (duplicates, empty, no-candidate
-// queries, k beyond the candidate set) and thread count.
+// The batched online path's determinism contract for single-model batches:
+// the one batch path (IndexSnapshot::BatchQueryMulti /
+// BatchRankByProximityMulti) with one weight vector and an all-zero
+// model_of must return results IDENTICAL — same nodes, same (bitwise)
+// scores, same tie-break order — to N independent Query() calls, for every
+// batch size, batch composition (duplicates, empty, no-candidate queries,
+// k beyond the candidate set, windows of mostly-mutual candidates) and
+// thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "baselines/simple.h"
@@ -38,7 +43,7 @@ const Pipeline& SharedPipeline() {
     options.miner.anchor_type = p->ds.user_type;
     options.miner.min_support = 3;
     options.miner.max_nodes = 4;
-    options.num_threads = 4;  // BatchQuery must use the pooled path
+    options.num_threads = 4;
     p->engine = std::make_unique<SearchEngine>(p->ds.graph, options);
     p->engine->Mine();
     p->engine->MatchAll();
@@ -69,6 +74,18 @@ std::vector<NodeId> QueriesOf(size_t n) {
   return queries;
 }
 
+// The one batch path at N = 1: one weight vector, every query on model 0.
+std::vector<QueryResult> BatchOneModel(std::span<const NodeId> queries,
+                                       size_t k,
+                                       util::ThreadPool* pool = nullptr,
+                                       BatchMultiStats* stats = nullptr) {
+  const Pipeline& p = SharedPipeline();
+  const std::span<const double> weights[] = {p.model.weights};
+  const std::vector<uint32_t> model_of(queries.size(), 0);
+  return p.engine->Snapshot()->BatchQueryMulti(weights, queries, model_of, k,
+                                               pool, nullptr, stats);
+}
+
 // Exact equality, element for element: same nodes, bitwise-same scores.
 void ExpectIdenticalToSequential(std::span<const NodeId> queries, size_t k,
                                  const std::vector<QueryResult>& batched) {
@@ -88,7 +105,6 @@ void ExpectIdenticalToSequential(std::span<const NodeId> queries, size_t k,
 }
 
 TEST(BatchQuery, IdenticalToSequentialAcrossBatchSizesAndThreads) {
-  const Pipeline& p = SharedPipeline();
   util::ThreadPool one_thread(1);
   util::ThreadPool four_threads(4);
   const std::vector<std::pair<const char*, util::ThreadPool*>> pools = {
@@ -99,33 +115,26 @@ TEST(BatchQuery, IdenticalToSequentialAcrossBatchSizesAndThreads) {
     for (const auto& [name, pool] : pools) {
       SCOPED_TRACE(::testing::Message()
                    << "batch " << batch_size << ", " << name);
-      auto batched = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                          queries, /*k=*/10, pool);
+      auto batched = BatchOneModel(queries, /*k=*/10, pool);
       ExpectIdenticalToSequential(queries, 10, batched);
     }
   }
 }
 
-TEST(BatchQuery, EngineBatchQueryUsesPoolAndMatchesQuery) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  const std::vector<NodeId> queries = QueriesOf(64);
-  auto batched = p.engine->BatchQuery(p.model, queries, 10);
-  ExpectIdenticalToSequential(queries, 10, batched);
-}
-
 TEST(BatchQuery, EmptyBatchReturnsEmpty) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  EXPECT_TRUE(p.engine->BatchQuery(p.model, {}, 10).empty());
-  EXPECT_TRUE(BatchRankByProximity(p.engine->index(), p.model.weights, {}, 10)
-                  .empty());
+  util::ThreadPool four_threads(4);
+  BatchMultiStats stats;
+  stats.shared_pair_rows = 99;  // must be reset even on the empty path
+  EXPECT_TRUE(BatchOneModel({}, 10, &four_threads, &stats).empty());
+  EXPECT_EQ(stats.shared_pair_rows, 0u);
 }
 
 TEST(BatchQuery, DuplicateQueryNodesEachGetTheSharedResult) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
+  const Pipeline& p = SharedPipeline();
   // Every duplicate must carry the full result, aligned with its position.
   const std::vector<NodeId> queries = {p.users[3], p.users[8], p.users[3],
                                        p.users[3], p.users[8]};
-  auto batched = p.engine->BatchQuery(p.model, queries, 10);
+  auto batched = BatchOneModel(queries, 10);
   ExpectIdenticalToSequential(queries, 10, batched);
   EXPECT_EQ(batched[0], batched[2]);
   EXPECT_EQ(batched[0], batched[3]);
@@ -133,10 +142,10 @@ TEST(BatchQuery, DuplicateQueryNodesEachGetTheSharedResult) {
 }
 
 TEST(BatchQuery, KLargerThanAnyCandidateSet) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
+  const Pipeline& p = SharedPipeline();
   const std::vector<NodeId> queries = QueriesOf(7);
   const size_t huge_k = p.ds.graph.num_nodes() * 10;
-  auto batched = p.engine->BatchQuery(p.model, queries, huge_k);
+  auto batched = BatchOneModel(queries, huge_k);
   ExpectIdenticalToSequential(queries, huge_k, batched);
   for (const auto& result : batched) {
     EXPECT_LT(result.size(), p.ds.graph.num_nodes());
@@ -144,7 +153,7 @@ TEST(BatchQuery, KLargerThanAnyCandidateSet) {
 }
 
 TEST(BatchQuery, QueryWithoutCandidatesRanksEmpty) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
+  const Pipeline& p = SharedPipeline();
   // Non-anchor nodes never occupy symmetric positions, so they have no
   // pair slots and an empty candidate set.
   NodeId no_candidates = kInvalidNode;
@@ -156,15 +165,36 @@ TEST(BatchQuery, QueryWithoutCandidatesRanksEmpty) {
   }
   ASSERT_NE(no_candidates, kInvalidNode);
   const std::vector<NodeId> queries = {p.users[0], no_candidates, p.users[1]};
-  auto batched = p.engine->BatchQuery(p.model, queries, 10);
+  auto batched = BatchOneModel(queries, 10);
   ExpectIdenticalToSequential(queries, 10, batched);
   EXPECT_TRUE(batched[1].empty());
+}
+
+// Large windows of users that are nearly all each other's candidates, on
+// a 4-thread pool: most pair rows are mutual, so most scores come from the
+// pair dots one endpoint hands the other. Every result must still be
+// bitwise the per-query one.
+TEST(BatchQuery, MutualWindowsOnFourThreadsMatchQuery) {
+  util::ThreadPool four_threads(4);
+  for (size_t window : {size_t{256}, size_t{300}}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    const std::vector<NodeId> queries = QueriesOf(window);
+    BatchMultiStats stats;
+    auto batched = BatchOneModel(queries, /*k=*/10, &four_threads, &stats);
+    ExpectIdenticalToSequential(queries, 10, batched);
+    // Mostly mutual: more shared pair rows than queries in the window.
+    EXPECT_GT(stats.shared_pair_rows, window);
+    // One model: the union IS the per-model gather.
+    EXPECT_EQ(stats.rows_per_model, stats.rows_gathered);
+  }
 }
 
 TEST(BatchQuery, CandidateSlotsAlignWithCandidates) {
   const Pipeline& p = SharedPipeline();
   const MetagraphVectorIndex& index = p.engine->index();
-  // SlotDot through the postings must agree with the per-pair hash path.
+  // SlotDot through the postings must agree with the per-pair hash path,
+  // and the relation must be symmetric with one slot per pair (the batch
+  // path dots a mutual pair row once for both endpoints).
   for (size_t i = 0; i < p.users.size(); i += 9) {
     const NodeId q = p.users[i];
     auto candidates = index.Candidates(q);
@@ -173,6 +203,11 @@ TEST(BatchQuery, CandidateSlotsAlignWithCandidates) {
     for (size_t c = 0; c < candidates.size(); ++c) {
       EXPECT_EQ(index.SlotDot(slots[c], p.model.weights),
                 index.PairDot(q, candidates[c], p.model.weights));
+      auto back = index.Candidates(candidates[c]);
+      auto back_slots = index.CandidateSlots(candidates[c]);
+      const auto it = std::find(back.begin(), back.end(), q);
+      ASSERT_NE(it, back.end()) << q << " missing from its candidate's set";
+      EXPECT_EQ(back_slots[static_cast<size_t>(it - back.begin())], slots[c]);
     }
   }
 }

@@ -1,5 +1,6 @@
-// The sparse (epoch-marked) batch scratch: BatchRankByProximity with a
-// reused BatchScratch must return results IDENTICAL to the per-query
+// The sparse (epoch-marked) batch scratch: the one batch path
+// (BatchRankByProximityMulti, here with one model) with a reused,
+// caller-owned BatchScratch must return results IDENTICAL to the per-query
 // sequential path and to fresh-scratch runs, for tiny batches on a large
 // graph (the configuration the scratch exists for) and across arbitrary
 // sequences of reusing calls — stale epochs must never leak one batch's
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "baselines/simple.h"
@@ -52,6 +54,17 @@ const Pipeline& SharedPipeline() {
   return *pipeline;
 }
 
+// The one batch path at N = 1 over the engine's snapshot.
+std::vector<QueryResult> BatchOneModel(std::span<const NodeId> queries,
+                                       size_t k, util::ThreadPool* pool,
+                                       BatchScratch* scratch) {
+  const Pipeline& p = SharedPipeline();
+  const std::span<const double> weights[] = {p.model.weights};
+  const std::vector<uint32_t> model_of(queries.size(), 0);
+  return p.engine->Snapshot()->BatchQueryMulti(weights, queries, model_of, k,
+                                               pool, scratch);
+}
+
 void ExpectIdenticalToSequential(std::span<const NodeId> queries, size_t k,
                                  const std::vector<QueryResult>& batched) {
   const Pipeline& p = SharedPipeline();
@@ -86,9 +99,7 @@ TEST(BatchScratch, TinyBatchesOnLargeGraphMatchSequential) {
         for (size_t i = 0; i < batch_size; ++i) {
           queries.push_back(p.users[(offset + i) % p.users.size()]);
         }
-        auto batched = BatchRankByProximity(
-            p.engine->index(), p.model.weights, queries, /*k=*/10, pool,
-            &scratch);
+        auto batched = BatchOneModel(queries, /*k=*/10, pool, &scratch);
         ExpectIdenticalToSequential(queries, 10, batched);
       }
     }
@@ -101,73 +112,79 @@ TEST(BatchScratch, ReuseAcrossCallsDoesNotLeakStaleState) {
   const std::vector<NodeId> batch_b = {p.users[40], p.users[41]};
 
   // Fresh-scratch references for both batches.
-  auto fresh_a = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                      batch_a, 10);
-  auto fresh_b = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                      batch_b, 10);
+  auto fresh_a = BatchOneModel(batch_a, 10, nullptr, nullptr);
+  auto fresh_b = BatchOneModel(batch_b, 10, nullptr, nullptr);
 
   // The same scratch serving A, then B, then A again (disjoint and
   // overlapping touched sets, alternating k in between to move the epoch):
   // every call must reproduce the fresh-scratch results exactly.
   BatchScratch scratch;
-  auto reused_a1 = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                        batch_a, 10, nullptr, &scratch);
+  auto reused_a1 = BatchOneModel(batch_a, 10, nullptr, &scratch);
   EXPECT_EQ(reused_a1, fresh_a);
-  auto reused_b = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                       batch_b, 10, nullptr, &scratch);
+  auto reused_b = BatchOneModel(batch_b, 10, nullptr, &scratch);
   EXPECT_EQ(reused_b, fresh_b);
   // A smaller k in between must not perturb later full-k results.
-  (void)BatchRankByProximity(p.engine->index(), p.model.weights, batch_b, 2,
-                             nullptr, &scratch);
-  auto reused_a2 = BatchRankByProximity(p.engine->index(), p.model.weights,
-                                        batch_a, 10, nullptr, &scratch);
+  (void)BatchOneModel(batch_b, 2, nullptr, &scratch);
+  auto reused_a2 = BatchOneModel(batch_a, 10, nullptr, &scratch);
   EXPECT_EQ(reused_a2, fresh_a);
   ExpectIdenticalToSequential(batch_a, 10, reused_a2);
 }
 
-TEST(BatchScratch, EngineBatchQueryReusesItsScratch) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  // Back-to-back engine BatchQuery calls share the engine's scratch; each
-  // must match per-query Query() regardless of what ran before.
+TEST(BatchScratch, PooledBatchesReuseOneCallerScratch) {
+  const Pipeline& p = SharedPipeline();
+  // Back-to-back pooled batches share one caller-owned scratch, the way
+  // a serving loop holds it; each must match per-query Query() regardless
+  // of what ran before.
+  util::ThreadPool four_threads(4);
+  BatchScratch scratch;
   const std::vector<NodeId> first = {p.users[5], p.users[9], p.users[5]};
   const std::vector<NodeId> second = {p.users[100]};
-  ExpectIdenticalToSequential(first, 10, p.engine->BatchQuery(p.model, first, 10));
-  ExpectIdenticalToSequential(second, 10,
-                              p.engine->BatchQuery(p.model, second, 10));
-  ExpectIdenticalToSequential(first, 10, p.engine->BatchQuery(p.model, first, 10));
+  ExpectIdenticalToSequential(
+      first, 10, BatchOneModel(first, 10, &four_threads, &scratch));
+  ExpectIdenticalToSequential(
+      second, 10, BatchOneModel(second, 10, &four_threads, &scratch));
+  ExpectIdenticalToSequential(
+      first, 10, BatchOneModel(first, 10, &four_threads, &scratch));
 }
 
 TEST(BatchScratch, EpochSemantics) {
   BatchScratch scratch;
-  scratch.BeginBatch(8);
+  scratch.BeginBatch(8, 1);
   EXPECT_TRUE(scratch.touched().empty());
   EXPECT_TRUE(scratch.MarkTouched(3));
   EXPECT_FALSE(scratch.MarkTouched(3));  // second touch, same batch
   EXPECT_TRUE(scratch.MarkTouched(7));
-  scratch.SetNodeDot(3, 0.5);
-  scratch.SetNodeDot(7, -1.25);
-  EXPECT_EQ(scratch.NodeDot(3), 0.5);
-  EXPECT_EQ(scratch.NodeDot(7), -1.25);
+  scratch.MutableNodeDots(3)[0] = 0.5;
+  scratch.MutableNodeDots(7)[0] = -1.25;
+  EXPECT_EQ(scratch.NodeDots(3)[0], 0.5);
+  EXPECT_EQ(scratch.NodeDots(7)[0], -1.25);
   ASSERT_EQ(scratch.touched().size(), 2u);
   EXPECT_EQ(scratch.touched()[0], 3u);
   EXPECT_EQ(scratch.touched()[1], 7u);
+  EXPECT_EQ(scratch.TouchOrder(3), 0u);
+  EXPECT_EQ(scratch.TouchOrder(7), 1u);
 
-  // New batch: all marks expire without any clearing pass.
-  scratch.BeginBatch(8);
+  // New batch: all marks expire without any clearing pass, and touch
+  // order restarts.
+  scratch.BeginBatch(8, 1);
   EXPECT_TRUE(scratch.touched().empty());
+  EXPECT_TRUE(scratch.MarkTouched(7));
   EXPECT_TRUE(scratch.MarkTouched(3));
-  scratch.SetNodeDot(3, 2.0);
-  EXPECT_EQ(scratch.NodeDot(3), 2.0);
+  EXPECT_EQ(scratch.TouchOrder(7), 0u);
+  EXPECT_EQ(scratch.TouchOrder(3), 1u);
+  scratch.MutableNodeDots(3)[0] = 2.0;
+  EXPECT_EQ(scratch.NodeDots(3)[0], 2.0);
 
   // Different graph size: tables resize, marks expire.
-  scratch.BeginBatch(20);
+  scratch.BeginBatch(20, 1);
   EXPECT_TRUE(scratch.touched().empty());
   EXPECT_TRUE(scratch.MarkTouched(19));
   EXPECT_TRUE(scratch.MarkTouched(3));
+  EXPECT_EQ(scratch.TouchOrder(19), 0u);
 
   // Back to the original size: still no stale marks (the resize path
   // reset the epoch, the bump path advanced it — either way fresh).
-  scratch.BeginBatch(8);
+  scratch.BeginBatch(8, 1);
   EXPECT_TRUE(scratch.MarkTouched(3));
 }
 
@@ -181,25 +198,23 @@ TEST(BatchScratch, MultiModelDotRows) {
   dots[1] = 2.0;
   dots[2] = 3.0;
   EXPECT_EQ(scratch.NodeDots(5)[1], 2.0);
-  // NodeDot (the single-model accessor) reads model 0's slot.
-  EXPECT_EQ(scratch.NodeDot(5), 1.0);
 
   // Narrowing back to one model: same node id maps to a different slot in
   // the packed layout; the epoch must have expired the old row.
   scratch.BeginBatch(8, 1);
   EXPECT_EQ(scratch.num_models(), 1u);
   EXPECT_TRUE(scratch.MarkTouched(5));
-  scratch.SetNodeDot(5, 7.5);
-  EXPECT_EQ(scratch.NodeDot(5), 7.5);
+  scratch.MutableNodeDots(5)[0] = 7.5;
+  EXPECT_EQ(scratch.NodeDots(5)[0], 7.5);
 }
 
 TEST(BatchScratch, TouchedCapacityHoldsTheHighWaterMark) {
   BatchScratch scratch;
-  scratch.BeginBatch(64);
+  scratch.BeginBatch(64, 1);
   for (NodeId x = 0; x < 40; ++x) scratch.MarkTouched(x);
   // The NEXT batch reserves at least the previous batch's touched count up
   // front, so a serving loop stops re-growing the list after warm-up.
-  scratch.BeginBatch(64);
+  scratch.BeginBatch(64, 1);
   EXPECT_GE(scratch.touched_capacity(), 40u);
   const size_t warm_capacity = scratch.touched_capacity();
   for (NodeId x = 0; x < 40; ++x) scratch.MarkTouched(x);
@@ -218,13 +233,13 @@ TEST(BatchScratchDeathTest, ReadingAnUnmarkedRowDiesInDebugBuilds) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
 #endif
   BatchScratch scratch;
-  scratch.BeginBatch(8);
+  scratch.BeginBatch(8, 1);
   scratch.MarkTouched(3);
-  scratch.SetNodeDot(3, 1.0);
+  scratch.MutableNodeDots(3)[0] = 1.0;
   // Node 4 was never marked this batch: its slot may hold a stale dot from
   // an earlier epoch, so the read must be rejected, not served.
-  EXPECT_DEATH((void)scratch.NodeDot(4), "");
   EXPECT_DEATH((void)scratch.NodeDots(4), "");
+  EXPECT_DEATH((void)scratch.TouchOrder(4), "");
 #endif
 }
 

@@ -1,11 +1,11 @@
 // The shared-window multi-model batch's determinism contract:
-// BatchRankByProximityMulti / SearchEngine::BatchQueryMulti must return,
+// BatchRankByProximityMulti / IndexSnapshot::BatchQueryMulti must return,
 // for every entry i, results IDENTICAL — same nodes, same (bitwise)
 // scores, same tie-break order — to Query() under queries[i]'s own model,
-// and therefore to per-model BatchRankByProximity, for every window size,
-// model mix (including duplicates of a node across models), pool size and
-// kernel. Also covers the gather-amortization stats and concurrent windows
-// on distinct scratches (the TSan concurrency label).
+// for every window size, model mix (including duplicates of a node across
+// models), pool size and kernel. Also covers the gather-amortization
+// stats and concurrent windows on distinct scratches (the TSan
+// concurrency label).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,7 +41,7 @@ const Pipeline& SharedPipeline() {
     options.miner.anchor_type = p->ds.user_type;
     options.miner.min_support = 3;
     options.miner.max_nodes = 4;
-    options.num_threads = 4;  // BatchQueryMulti must use the pooled path
+    options.num_threads = 4;
     p->engine = std::make_unique<SearchEngine>(p->ds.graph, options);
     p->engine->Mine();
     p->engine->MatchAll();
@@ -133,7 +133,7 @@ TEST(MultiBatchQuery, MixedWindowsIdenticalToQueryAcrossSizesModelsThreads) {
   const std::vector<std::pair<const char*, util::ThreadPool*>> pools = {
       {"no pool", nullptr}, {"1 thread", &one_thread},
       {"4 threads", &four_threads}};
-  for (size_t window : {size_t{1}, size_t{7}, size_t{64}}) {
+  for (size_t window : {size_t{1}, size_t{7}, size_t{40}, size_t{64}}) {
     for (size_t n_models : {size_t{1}, size_t{2}, size_t{5}}) {
       const Window w = WindowOf(window, n_models);
       const auto spans = WeightSpans(n_models);
@@ -144,33 +144,6 @@ TEST(MultiBatchQuery, MixedWindowsIdenticalToQueryAcrossSizesModelsThreads) {
             p.engine->index(), spans, w.queries, w.model_of, /*k=*/10, pool);
         ExpectIdenticalToQuery(w, 10, multi);
       }
-    }
-  }
-}
-
-TEST(MultiBatchQuery, MatchesPerModelBatchRankByProximity) {
-  const Pipeline& p = SharedPipeline();
-  const size_t n_models = 5;
-  const Window w = WindowOf(40, n_models);
-  auto multi = BatchRankByProximityMulti(p.engine->index(),
-                                         WeightSpans(n_models), w.queries,
-                                         w.model_of, /*k=*/10);
-  // Re-rank each model's slice through the single-model batch: the two
-  // schedules must agree bitwise, result for result.
-  for (uint32_t m = 0; m < n_models; ++m) {
-    std::vector<NodeId> slice;
-    std::vector<size_t> positions;
-    for (size_t i = 0; i < w.queries.size(); ++i) {
-      if (w.model_of[i] == m) {
-        slice.push_back(w.queries[i]);
-        positions.push_back(i);
-      }
-    }
-    auto single = BatchRankByProximity(p.engine->index(),
-                                       p.models[m].weights, slice, /*k=*/10);
-    for (size_t j = 0; j < slice.size(); ++j) {
-      EXPECT_EQ(multi[positions[j]], single[j])
-          << "model " << m << ", slice entry " << j;
     }
   }
 }
@@ -192,31 +165,36 @@ TEST(MultiBatchQuery, DuplicateNodesAcrossModelsScoreUnderTheirOwnModel) {
   EXPECT_EQ(multi[3], multi[5]);  // (b, model 1) duplicated
 }
 
-TEST(MultiBatchQuery, EngineBatchQueryMultiReusesScratchAcrossMixedCalls) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
-  // Alternate multi windows of different widths with plain BatchQuery on
-  // the same engine: the shared scratch must expire cleanly between
-  // layouts (wrong expiry would surface as stale dots, i.e. wrong scores).
+TEST(MultiBatchQuery, SnapshotReusesCallerScratchAcrossMixedCalls) {
+  const Pipeline& p = SharedPipeline();
+  const std::shared_ptr<const IndexSnapshot> snap = p.engine->Snapshot();
+  util::ThreadPool four_threads(4);
+  BatchScratch scratch;
+  // Alternate windows of different model counts with one-model calls on
+  // ONE caller-owned scratch: it must expire cleanly between layouts
+  // (wrong expiry would surface as stale dots, i.e. wrong scores).
   for (size_t n_models : {size_t{5}, size_t{1}, size_t{3}}) {
     const Window w = WindowOf(30, n_models);
-    auto multi = p.engine->BatchQueryMulti(WeightSpans(n_models), w.queries,
-                                           w.model_of, 10);
+    auto multi = snap->BatchQueryMulti(WeightSpans(n_models), w.queries,
+                                       w.model_of, 10, &four_threads,
+                                       &scratch);
     ExpectIdenticalToQuery(w, 10, multi);
-    const std::vector<NodeId> queries = w.queries;
-    auto single = p.engine->BatchQuery(p.models[0], queries, 10);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const QueryResult expected = p.engine->Query(p.models[0], queries[i], 10);
-      EXPECT_EQ(single[i], expected) << "single-model call after multi, #" << i;
-    }
+    const Window w0 = WindowOf(30, 1);
+    auto single = snap->BatchQueryMulti(WeightSpans(1), w0.queries,
+                                        w0.model_of, 10, &four_threads,
+                                        &scratch);
+    ExpectIdenticalToQuery(w0, 10, single);
   }
 }
 
 TEST(MultiBatchQuery, StatsAccountForSharedGather) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
+  const Pipeline& p = SharedPipeline();
+  const std::shared_ptr<const IndexSnapshot> snap = p.engine->Snapshot();
+  util::ThreadPool four_threads(4);
   const Window w = WindowOf(64, 4);
   BatchMultiStats stats;
-  auto multi = p.engine->BatchQueryMulti(WeightSpans(4), w.queries,
-                                         w.model_of, 10, &stats);
+  auto multi = snap->BatchQueryMulti(WeightSpans(4), w.queries, w.model_of,
+                                     10, &four_threads, nullptr, &stats);
   ExpectIdenticalToQuery(w, 10, multi);
   EXPECT_GT(stats.rows_gathered, 0u);
   // The union gather can never touch more rows than four per-model gathers
@@ -230,17 +208,19 @@ TEST(MultiBatchQuery, StatsAccountForSharedGather) {
   // One model: the union IS the per-model gather; nothing to save.
   const Window w1 = WindowOf(16, 1);
   BatchMultiStats stats1;
-  (void)p.engine->BatchQueryMulti(WeightSpans(1), w1.queries, w1.model_of, 10,
-                                  &stats1);
+  (void)snap->BatchQueryMulti(WeightSpans(1), w1.queries, w1.model_of, 10,
+                              &four_threads, nullptr, &stats1);
   EXPECT_EQ(stats1.rows_per_model, stats1.rows_gathered);
 }
 
 TEST(MultiBatchQuery, EmptyWindowReturnsEmpty) {
-  Pipeline& p = const_cast<Pipeline&>(SharedPipeline());
+  const Pipeline& p = SharedPipeline();
   BatchMultiStats stats;
   stats.rows_gathered = 99;  // must be reset even on the empty path
-  EXPECT_TRUE(
-      p.engine->BatchQueryMulti(WeightSpans(2), {}, {}, 10, &stats).empty());
+  EXPECT_TRUE(p.engine->Snapshot()
+                  ->BatchQueryMulti(WeightSpans(2), {}, {}, 10, nullptr,
+                                    nullptr, &stats)
+                  .empty());
   EXPECT_EQ(stats.rows_gathered, 0u);
 }
 

@@ -280,7 +280,7 @@ TEST(QueryServer, MicroBatchingCoalescesPipelinedQueries) {
   ServerOptions options;
   options.max_batch = 32;
   // A generous window: the client floods 100 queries over loopback well
-  // inside it, so the batcher must coalesce them into few BatchQuery
+  // inside it, so the batcher must coalesce them into few BatchQueryMulti
   // calls. (Upper bound asserted loosely to stay timing-robust.)
   options.window_micros = 50000;
   auto server = StartServer(options);
