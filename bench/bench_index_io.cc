@@ -1,7 +1,8 @@
 // Index artifact IO bench: file size and save/load wall clock of every
 // persistence path over one matched offline index — v1 text, v2 binary
 // compact (delta/varint + LZW), v2 binary aligned, and the memory-mapped
-// load of the aligned artifact (with and without checksum verification).
+// load of the aligned artifact — plus each binary section's raw and
+// stored bytes in both layouts (what LZW buys, section by section).
 //
 // Hard gates (exit 1), not just numbers:
 //   * the compact binary artifact must be >= 3x smaller than text,
@@ -18,12 +19,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "index/metagraph_vectors.h"
+#include "util/container.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -80,6 +84,14 @@ std::string FmtMs(double seconds) {
   return util::FormatDouble(seconds * 1e3, 3);
 }
 
+// Section names of an index artifact, by id (docs/ARCHITECTURE.md).
+const char* SectionName(uint32_t id) {
+  static const char* const kNames[] = {
+      "?",         "META",      "COMMITTED", "NODE_LENS", "NODE_ENTRIES",
+      "PAIR_KEYS", "PAIR_LENS", "PAIR_ENTRIES"};
+  return id < std::size(kNames) ? kNames[id] : "?";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,9 +146,7 @@ int main(int argc, char** argv) {
   const std::vector<double> weights(index.num_metagraphs(), 1.0);
   const int kRounds = 7;
 
-  // Eager loads of each artifact + the two mapped flavors of the aligned
-  // artifact (CRC-verified, and the trusted fast path with verification
-  // off — the latter touches no payload pages at map time).
+  // Eager loads of each artifact + the mapped load of the aligned one.
   struct LoadRow {
     std::string name;
     double write_s;
@@ -153,36 +163,22 @@ int main(int argc, char** argv) {
                         },
                         kRounds, probe, weights)});
   }
-  IndexLoadOptions mmap_verified;
-  mmap_verified.use_mmap = true;
   rows.push_back({"aligned-mmap", 0.0, artifacts[2].bytes,
                   TimeLoads(
                       [&] {
                         return MetagraphVectorIndex::LoadFromFile(
-                            artifacts[2].path.string(), mmap_verified);
-                      },
-                      kRounds, probe, weights)});
-  IndexLoadOptions mmap_trusted;
-  mmap_trusted.use_mmap = true;
-  mmap_trusted.verify_checksums = false;
-  rows.push_back({"aligned-mmap-noverify", 0.0, artifacts[2].bytes,
-                  TimeLoads(
-                      [&] {
-                        return MetagraphVectorIndex::LoadFromFile(
-                            artifacts[2].path.string(), mmap_trusted);
+                            artifacts[2].path.string(), /*use_mmap=*/true);
                       },
                       kRounds, probe, weights)});
 
   // ---- lossless round trip, every path ------------------------------------
   for (const LoadRow& row : rows) {
-    IndexLoadOptions options;
-    options.use_mmap = row.name.rfind("aligned-mmap", 0) == 0;
-    options.verify_checksums = row.name != "aligned-mmap-noverify";
     const std::filesystem::path& path = row.name == "text" ? artifacts[0].path
                                         : row.name == "binary-compact"
                                             ? artifacts[1].path
                                             : artifacts[2].path;
-    auto loaded = MetagraphVectorIndex::LoadFromFile(path.string(), options);
+    auto loaded = MetagraphVectorIndex::LoadFromFile(
+        path.string(), /*use_mmap=*/row.name == "aligned-mmap");
     if (!loaded.ok()) Fatal(row.name + ": " + loaded.status().ToString());
     if (SerializeText(*loaded) != reference_text) {
       Fatal(row.name + ": loaded index re-serializes differently — the "
@@ -199,6 +195,39 @@ int main(int argc, char** argv) {
                   FmtMs(row.timing.load_s), FmtMs(row.timing.load_query_s)});
   }
   table.Print(std::cout);
+
+  // ---- per-section bytes: raw (after packing) vs stored (after LZW) -------
+  struct SectionRow {
+    std::string layout;
+    util::ContainerReader::Entry entry;
+  };
+  std::vector<SectionRow> sections;
+  for (const Artifact& artifact : {artifacts[1], artifacts[2]}) {
+    std::ifstream in(artifact.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    auto reader = util::ContainerReader::Parse(
+        std::span<const uint8_t>(
+            reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()),
+        util::kIndexArtifact);
+    if (!reader.ok()) Fatal("section table: " + reader.status().ToString());
+    for (const auto& entry : reader->entries()) {
+      sections.push_back({artifact.name, entry});
+    }
+  }
+  util::TablePrinter section_table(
+      {"artifact", "section", "raw bytes", "stored bytes", "flags"});
+  for (const SectionRow& row : sections) {
+    const uint32_t flags = row.entry.flags;
+    section_table.AddRow(
+        {row.layout, SectionName(row.entry.id),
+         std::to_string(row.entry.raw_size),
+         std::to_string(row.entry.stored_size),
+         std::string((flags & util::kSectionPacked) != 0 ? "packed " : "") +
+             ((flags & util::kSectionLzw) != 0 ? "lzw" : "")});
+  }
+  std::printf("\n");
+  section_table.Print(std::cout);
 
   const double compression =
       static_cast<double>(artifacts[0].bytes) /
@@ -227,6 +256,14 @@ int main(int argc, char** argv) {
         .Num("write_s", row.write_s)
         .Num("load_s", row.timing.load_s)
         .Num("load_query_s", row.timing.load_query_s);
+  }
+  for (const SectionRow& row : sections) {
+    report.BeginRecord()
+        .Str("artifact", row.layout)
+        .Str("section", SectionName(row.entry.id))
+        .Num("raw_bytes", static_cast<double>(row.entry.raw_size))
+        .Num("stored_bytes", static_cast<double>(row.entry.stored_size))
+        .Num("lzw", (row.entry.flags & util::kSectionLzw) != 0 ? 1.0 : 0.0);
   }
   report.BeginRecord()
       .Str("artifact", "summary")

@@ -200,7 +200,7 @@ util::Status SearchEngine::LoadOffline(const std::string& path_prefix,
   if (!mined.ok()) return mined.status();
 
   auto index = MetagraphVectorIndex::LoadFromFile(path_prefix + ".index",
-                                                  options.load_options());
+                                                  options.use_mmap);
   if (!index.ok()) return index.status();
   if (index->num_metagraphs() != mined->size()) {
     return util::Status::InvalidArgument(

@@ -157,9 +157,8 @@ class SearchEngine {
 
   /// Restores a persisted offline phase; replaces any mined/matched state.
   /// The graph must be the same one the artifacts were built from. The
-  /// index format is autodetected by magic; `options.use_mmap` /
-  /// `options.verify_checksums` select mmap vs eager materialization for
-  /// binary artifacts.
+  /// index format is autodetected by magic; `options.use_mmap` maps an
+  /// aligned binary artifact instead of parsing it.
   util::Status LoadOffline(const std::string& path_prefix,
                            const ArtifactOptions& options = {});
 

@@ -65,6 +65,7 @@ MetagraphVectorIndex::MetagraphVectorIndex(size_t num_metagraphs,
                                            CountTransform transform,
                                            size_t num_shards)
     : num_metagraphs_(num_metagraphs),
+      num_graph_nodes_(num_graph_nodes),
       transform_(transform),
       num_shards_(std::clamp<size_t>(num_shards, 1, kMaxShards)),
       committed_(num_metagraphs, 0),
@@ -162,14 +163,12 @@ void MetagraphVectorIndex::Seal() {
 void MetagraphVectorIndex::Finalize() {
   MX_CHECK_MSG(!finalized_, "Finalize() called twice");
   // Full sweep, not Seal(): one-time O(index) cost that also covers rows
-  // that never went through Commit (ReadFrom's direct row loads). Each
-  // shard is drained under its (uncontended — Finalize runs with no
-  // concurrent Commits) lock into one flat list, which is then merged in
-  // globally sorted key order. The order is a pure function of the
-  // committed keys, so the finalized layout is independent of the shard
-  // count and of commit interleaving.
-  for (SparseVec& row : node_vectors_) SortRow(row);
-
+  // that never went through Commit (CloneForRefresh's seed). Each shard
+  // is drained under its (uncontended — Finalize runs with no concurrent
+  // Commits) lock into one flat list, which is then packed into the store
+  // in globally sorted key order. The order is a pure function of the
+  // committed keys, so the store is independent of the shard count and
+  // of commit interleaving.
   std::vector<std::pair<uint64_t, SparseVec>> drained;
   {
     size_t total = 0;
@@ -192,23 +191,67 @@ void MetagraphVectorIndex::Finalize() {
   std::sort(drained.begin(), drained.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  pair_keys_.reserve(drained.size());
-  pair_vectors_.reserve(drained.size());
-  pair_slots_.reserve(drained.size());
-  for (auto& [key, row] : drained) {
-    pair_slots_.emplace(key, static_cast<uint32_t>(pair_vectors_.size()));
-    pair_keys_.push_back(key);
-    pair_vectors_.push_back(std::move(row));
+  // Pack the rows into the store, freeing each one as it lands.
+  auto pack = [](SparseVec& row, std::vector<Entry>* entries,
+                 std::vector<uint64_t>* offsets) {
+    SortRow(row);
+    entries->insert(entries->end(), row.begin(), row.end());
+    offsets->push_back(entries->size());
+    SparseVec().swap(row);
+  };
+  size_t total = 0;
+  for (const SparseVec& row : node_vectors_) total += row.size();
+  owned_node_entries_.reserve(total);
+  node_offsets_.reserve(num_graph_nodes_ + 1);
+  node_offsets_.push_back(0);
+  for (SparseVec& row : node_vectors_) {
+    pack(row, &owned_node_entries_, &node_offsets_);
   }
+  total = 0;
+  for (const auto& [key, row] : drained) total += row.size();
+  owned_pair_entries_.reserve(total);
+  pair_keys_.reserve(drained.size());
+  pair_offsets_.reserve(drained.size() + 1);
+  pair_offsets_.push_back(0);
+  for (auto& [key, row] : drained) {
+    pair_keys_.push_back(key);
+    pack(row, &owned_pair_entries_, &pair_offsets_);
+  }
+  AdoptEntries(owned_node_entries_, owned_pair_entries_);
+}
+
+util::Status MetagraphVectorIndex::CheckRows(
+    std::span<const Entry> entries, const std::vector<uint64_t>& offsets,
+    const char* what) const {
+  for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      if (entries[e].first >= num_metagraphs_ ||
+          (e > offsets[r] && entries[e].first <= entries[e - 1].first)) {
+        return util::Status::InvalidArgument(
+            std::string(what) +
+            " row indices not strictly increasing below |M|");
+      }
+    }
+  }
+  return util::Status::Ok();
+}
+
+void MetagraphVectorIndex::AdoptEntries(std::span<const Entry> node_entries,
+                                        std::span<const Entry> pair_entries) {
+  node_vectors_ = {};
   shards_.clear();
   node_stripes_.clear();
-
+  node_entries_ = node_entries;
+  pair_entries_ = pair_entries;
   BuildPostings();
   finalized_ = true;
 }
 
 void MetagraphVectorIndex::BuildPostings() {
   // CSR candidate postings, walked in sorted key order (deterministic).
+  // With keys strictly ascending and x < y, each node's candidates come
+  // out ascending: first the x of every (x, node) key, then the y of
+  // every (node, y) key.
   const size_t n = num_graph_nodes();
   std::vector<uint32_t> degree(n, 0);
   for (uint64_t key : pair_keys_) {
@@ -270,7 +313,10 @@ MetagraphVectorIndex MetagraphVectorIndex::CloneForRefresh(
     for (const auto& entry : PairRow(slot)) {
       if (!drop[entry.first]) filtered.push_back(entry);
     }
-    if (!filtered.empty()) out.AppendPairRow(pair_keys_[slot], filtered);
+    if (filtered.empty()) continue;
+    Shard& shard = *out.shards_[out.ShardOf(pair_keys_[slot])];
+    mx::MutexLock lock(shard.mu);
+    shard.pairs.emplace(pair_keys_[slot], filtered);
   }
   return out;
 }
@@ -297,19 +343,31 @@ double MetagraphVectorIndex::Transform(double raw) const {
 
 std::span<const std::pair<uint32_t, float>> MetagraphVectorIndex::FindPairRow(
     NodeId x, NodeId y) const {
-  const uint64_t key = PairKey(x, y);
-  if (mapped_ != nullptr) {
-    // No hash table in mapped mode: binary search the sorted keys.
-    auto it = std::lower_bound(pair_keys_.begin(), pair_keys_.end(), key);
-    if (it == pair_keys_.end() || *it != key) return {};
-    return PairRow(static_cast<uint32_t>(it - pair_keys_.begin()));
-  }
+  if (!finalized_) return ProbeShardRowUnlocked(PairKey(x, y));
+  const std::span<const NodeId> candidates = Candidates(x);
+  const auto it = std::lower_bound(candidates.begin(), candidates.end(), y);
+  if (it == candidates.end() || *it != y) return {};
+  return PairRow(CandidateSlots(x)[it - candidates.begin()]);
+}
+
+std::vector<std::pair<uint64_t, std::span<const std::pair<uint32_t, float>>>>
+MetagraphVectorIndex::SortedPairRows() const {
+  std::vector<std::pair<uint64_t, std::span<const Entry>>> rows;
+  rows.reserve(num_pairs());
   if (finalized_) {
-    auto it = pair_slots_.find(key);
-    if (it == pair_slots_.end()) return {};
-    return pair_vectors_[it->second];
+    for (uint32_t slot = 0; slot < pair_keys_.size(); ++slot) {
+      rows.emplace_back(pair_keys_[slot], PairRow(slot));
+    }
+    return rows;
   }
-  return ProbeShardRowUnlocked(key);
+  for (const auto& shard : shards_) {
+    mx::MutexLock lock(shard->mu);
+    // lint:allow-unordered-iter — collection order is erased by the sort.
+    for (const auto& [key, row] : shard->pairs) rows.emplace_back(key, row);
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return rows;
 }
 
 // Unlocked by design — the justification lives on the declaration.
@@ -321,12 +379,6 @@ MetagraphVectorIndex::ProbeShardRowUnlocked(uint64_t key) const {
   auto it = shard.pairs.find(key);
   if (it == shard.pairs.end()) return {};
   return it->second;
-}
-
-void MetagraphVectorIndex::AppendPairRow(uint64_t key, SparseVec vec) {
-  Shard& shard = *shards_[ShardOf(key)];
-  mx::MutexLock lock(shard.mu);
-  shard.pairs.emplace(key, std::move(vec));
 }
 
 kernels::RowTransform MetagraphVectorIndex::row_transform() const {
@@ -445,25 +497,11 @@ util::Status MetagraphVectorIndex::WriteTo(std::ostream& os) const {
     os << '\n';
   }
   // Pairs in sorted key order: byte-identical for any thread/shard count.
-  std::vector<uint64_t> keys;
-  if (finalized_) {
-    keys = pair_keys_;
-  } else {
-    keys.reserve(num_pairs());
-    for (const auto& shard : shards_) {
-      mx::MutexLock lock(shard->mu);
-      // lint:allow-unordered-iter — collection order is erased by the sort.
-      for (const auto& [key, row] : shard->pairs) keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-  }
-  os << "pairs " << keys.size() << '\n';
-  for (uint64_t key : keys) {
-    NodeId x = static_cast<NodeId>(key >> 32);
-    NodeId y = static_cast<NodeId>(key & 0xffffffffu);
-    const auto vec = FindPairRow(x, y);
-    os << key << ' ' << vec.size();
-    WriteRow(os, vec);
+  const auto pair_rows = SortedPairRows();
+  os << "pairs " << pair_rows.size() << '\n';
+  for (const auto& [key, row] : pair_rows) {
+    os << key << ' ' << row.size();
+    WriteRow(os, row);
     os << '\n';
   }
   if (!os.good()) return util::Status::IoError("index write failed");
@@ -504,8 +542,9 @@ util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadTextFrom(
     return util::Status::InvalidArgument(
         "index text artifact declares out-of-range dimensions");
   }
-  MetagraphVectorIndex index(num_metagraphs, num_nodes,
+  MetagraphVectorIndex index(num_metagraphs, 0,
                              static_cast<CountTransform>(transform));
+  index.num_graph_nodes_ = num_nodes;
   std::string word;
   is >> word;
   if (word != "committed") {
@@ -516,61 +555,69 @@ util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadTextFrom(
     is >> flag;
     index.committed_[i] = flag != 0 ? 1 : 0;
   }
+  // Rows are appended straight into the store.
+  auto read_row = [&is](size_t len, std::vector<Entry>* entries) {
+    for (size_t e = 0; e < len && is; ++e) {
+      uint32_t i = 0;
+      float c = 0;
+      is >> i >> c;
+      entries->emplace_back(i, c);
+    }
+    return static_cast<bool>(is);
+  };
   size_t count = 0;
   is >> word >> count;
   if (!is || word != "nodes") {
     return util::Status::InvalidArgument("missing nodes section");
   }
+  std::vector<Entry>& node_entries = index.owned_node_entries_;
+  std::vector<uint64_t>& node_offsets = index.node_offsets_;
+  node_offsets.assign(num_nodes + 1, 0);
+  uint64_t next = 0;  // nodes below `next` have their row start set
   for (size_t n = 0; n < count; ++n) {
     uint64_t v = 0;
-    size_t entries = 0;
-    is >> v >> entries;
-    if (!is || v >= num_nodes || entries > num_metagraphs) {
+    size_t row_len = 0;
+    is >> v >> row_len;
+    if (!is || v < next || v >= num_nodes || row_len > num_metagraphs) {
       return util::Status::InvalidArgument("bad node vector row");
     }
-    SparseVec vec;
-    vec.reserve(entries);
-    for (size_t e = 0; e < entries; ++e) {
-      uint32_t i = 0;
-      float c = 0;
-      is >> i >> c;
-      if (!is || i >= num_metagraphs) {
-        return util::Status::InvalidArgument("bad node vector entry");
-      }
-      vec.emplace_back(i, c);
+    while (next <= v) node_offsets[next++] = node_entries.size();
+    if (!read_row(row_len, &node_entries)) {
+      return util::Status::InvalidArgument("bad node vector entry");
     }
-    index.node_vectors_[v] = std::move(vec);
   }
+  while (next <= num_nodes) node_offsets[next++] = node_entries.size();
+
   is >> word >> count;
   if (!is || word != "pairs") {
     return util::Status::InvalidArgument("missing pairs section");
   }
+  index.pair_offsets_.push_back(0);
   for (size_t n = 0; n < count; ++n) {
     uint64_t key = 0;
-    size_t entries = 0;
-    is >> key >> entries;
-    if (!is || entries > num_metagraphs) {
+    size_t row_len = 0;
+    is >> key >> row_len;
+    if (!is || row_len > num_metagraphs) {
       return util::Status::InvalidArgument("bad pair vector row");
     }
-    NodeId x = static_cast<NodeId>(key >> 32);
-    NodeId y = static_cast<NodeId>(key & 0xffffffffu);
-    if (x >= num_nodes || y >= num_nodes) {
-      return util::Status::InvalidArgument("pair key out of range");
+    const uint64_t x = key >> 32;
+    const uint64_t y = key & 0xffffffffu;
+    if (x >= y || y >= num_nodes) {
+      return util::Status::InvalidArgument("pair key not (x, y) with x < y");
     }
-    SparseVec vec;
-    vec.reserve(entries);
-    for (size_t e = 0; e < entries; ++e) {
-      uint32_t i = 0;
-      float c = 0;
-      is >> i >> c;
-      if (!is || i >= num_metagraphs) {
-        return util::Status::InvalidArgument("bad pair vector entry");
-      }
-      vec.emplace_back(i, c);
+    if (!index.pair_keys_.empty() && key <= index.pair_keys_.back()) {
+      return util::Status::InvalidArgument("pair keys not strictly increasing");
     }
-    index.AppendPairRow(key, std::move(vec));
+    index.pair_keys_.push_back(key);
+    if (!read_row(row_len, &index.owned_pair_entries_)) {
+      return util::Status::InvalidArgument("bad pair vector entry");
+    }
+    index.pair_offsets_.push_back(index.owned_pair_entries_.size());
   }
-  index.Finalize();
+  MX_RETURN_IF_ERROR(index.CheckRows(node_entries, node_offsets, "node"));
+  MX_RETURN_IF_ERROR(index.CheckRows(index.owned_pair_entries_,
+                                     index.pair_offsets_, "pair"));
+  index.AdoptEntries(node_entries, index.owned_pair_entries_);
   return index;
 }
 

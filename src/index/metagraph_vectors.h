@@ -9,10 +9,10 @@
 // invariant under automorphisms, so we accumulate per-embedding counts and
 // divide by |Aut(M_i)| on commit.
 //
-// Storage is sparse: a pair slot table keyed by (min(x,y), max(x,y)) plus
+// Storage is sparse: pair rows keyed by (min(x,y), max(x,y)) plus
 // per-node postings, which is what makes the online phase (Fig. 3) a pure
 // lookup: the candidates for query q are exactly the nodes sharing a pair
-// slot with q.
+// row with q.
 //
 // Build lifecycle and thread-safety (see also docs/ARCHITECTURE.md):
 //
@@ -32,12 +32,18 @@
 // only on WHICH (metagraph, sink) pairs were committed, not on the order or
 // interleaving of the Commit() calls, nor on the shard count.
 //
-// Finalize() merges the shards into one table in globally sorted PairKey
-// order and builds the candidate postings. Because the merge order is a
+// Finalize() packs the shards' rows in globally sorted PairKey order into
+// one CSR store and builds the candidate postings. Because the order is a
 // pure function of the keys, the finalized index — including its WriteTo()
 // serialization — is byte-identical for ANY number of committing threads
 // and ANY num_shards. Finalize() must be called exactly once; committing
 // after Finalize() or finalizing twice aborts (MX_CHECK).
+//
+// A finalized index is one CSR store however it was made: row offsets
+// plus node and pair entry spans. The spans point into owned storage
+// (Finalize, the text reader, ReadBinaryFrom) or into a pinned read-only
+// mapping of an aligned artifact (MapFromFile); the row accessors do not
+// tell the two apart.
 //
 // Read accessors are safe from multiple threads as long as no Commit /
 // Seal / Finalize runs concurrently; they must not race a commit batch.
@@ -47,9 +53,9 @@
 // (WriteBinaryTo / ReadBinaryFrom / MapFromFile; byte-level spec in
 // docs/ARCHITECTURE.md "Persistence formats"). A binary artifact written
 // with the aligned layout can be memory-MAPPED instead of parsed: the
-// index then serves its hot row arrays zero-copy out of the page cache.
-// A mapped index is finalized and read-only — Commit/Finalize abort on
-// it, exactly as they do on a finalized owned index.
+// index then serves its row entries zero-copy out of the page cache.
+// Like every finalized index, a mapped one is read-only — Commit and
+// Finalize abort on it.
 #ifndef METAPROX_INDEX_METAGRAPH_VECTORS_H_
 #define METAPROX_INDEX_METAGRAPH_VECTORS_H_
 
@@ -105,41 +111,24 @@ enum class CountTransform { kRaw, kLog1p };
 
 /// Physical layout of a v2 binary index artifact (both parse back
 /// identically; they trade file size against mappability):
-///   kCompact — row entries delta/varint-packed and LZW-compressed: the
-///     smallest files, for artifact distribution and cold storage. Must be
-///     loaded eagerly (ReadBinaryFrom).
-///   kAligned — row entries as raw 64-byte-aligned {u32 index, f32 count}
-///     arrays: larger, but MapFromFile serves them zero-copy straight out
-///     of the page cache (instant start, pages shared across processes).
-/// Cold sections (lengths, pair keys, committed bitmap) are packed and
-/// compressed in both layouts.
+///   kCompact — every section delta/varint-packed and LZW-compressed where
+///     that shrinks it: the smallest files, for artifact distribution and
+///     cold storage. Must be loaded eagerly (ReadBinaryFrom).
+///   kAligned — every section stored raw, row entries as 64-byte-aligned
+///     {u32 index, f32 count} arrays: larger, but MapFromFile serves them
+///     zero-copy straight out of the page cache (instant start, pages
+///     shared across processes).
 enum class BinaryLayout { kCompact, kAligned };
 
-/// How LoadFromFile materializes a binary artifact.
-struct IndexLoadOptions {
-  /// Map the file instead of parsing it (aligned-layout artifacts only;
-  /// text and compact artifacts fall back to an eager load).
-  bool use_mmap = false;
-  /// Verify section CRCs — and, for mapped loads, deep-validate the row
-  /// entries. Turning this off is the documented trusted-file fast path:
-  /// a mapped open then touches no payload pages at all.
-  bool verify_checksums = true;
-};
-
 /// One bag of knobs for saving and loading offline artifacts, shared by
-/// SearchEngine::SaveOffline/LoadOffline, mgps_cli and metaprox_server
-/// (replaces the loose ArtifactFormat / BinaryLayout / IndexLoadOptions
-/// parameter lists those paths used to take). Save paths read `format` and
-/// `layout`; load paths read `use_mmap` and `verify_checksums`.
+/// SearchEngine::SaveOffline/LoadOffline, mgps_cli and metaprox_server.
+/// Save paths read `format` and `layout`; load paths read `use_mmap`.
 struct ArtifactOptions {
   util::ArtifactFormat format = util::ArtifactFormat::kText;
   BinaryLayout layout = BinaryLayout::kCompact;
+  /// Map an aligned binary artifact instead of parsing it (text and
+  /// compact artifacts fall back to an eager load).
   bool use_mmap = false;
-  bool verify_checksums = true;
-
-  IndexLoadOptions load_options() const {
-    return IndexLoadOptions{use_mmap, verify_checksums};
-  }
 };
 
 /// Upper bound on build-time pair-table shards, applied by the index
@@ -238,15 +227,13 @@ class MetagraphVectorIndex {
                                        size_t num_shards) const;
 
   size_t num_metagraphs() const { return num_metagraphs_; }
-  size_t num_graph_nodes() const {
-    return mapped_ != nullptr ? mapped_->num_nodes : node_vectors_.size();
-  }
+  size_t num_graph_nodes() const { return num_graph_nodes_; }
   size_t num_shards() const { return num_shards_; }
   CountTransform transform() const { return transform_; }
   bool finalized() const { return finalized_; }
-  /// True when the row arrays are served zero-copy from a mapped artifact
+  /// True when the row entries are served zero-copy from a mapped artifact
   /// (MapFromFile). A mapped index is always finalized.
-  bool is_mapped() const { return mapped_ != nullptr; }
+  bool is_mapped() const { return mapping_ != nullptr; }
   /// Number of distinct (x, y) pair slots committed so far.
   size_t num_pairs() const;
   bool IsCommitted(uint32_t metagraph_index) const {
@@ -281,7 +268,8 @@ class MetagraphVectorIndex {
                         std::vector<std::pair<uint32_t, double>>* out) const;
 
   /// Nodes that co-occur with x in at least one instance at symmetric
-  /// positions — the online candidate set for query x. Requires Finalize().
+  /// positions — the online candidate set for query x, in ascending node
+  /// order. Requires Finalize().
   std::span<const NodeId> Candidates(NodeId x) const;
 
   /// Pair-row slots aligned with Candidates(x): CandidateSlots(x)[i] is the
@@ -306,19 +294,14 @@ class MetagraphVectorIndex {
   /// pair row of `slot` (requires Finalize()). Spans are invalidated by
   /// Commit/Seal/Finalize, like every other read.
   std::span<const std::pair<uint32_t, float>> NodeRow(NodeId x) const {
-    if (mapped_ != nullptr) {
-      const std::vector<uint64_t>& off = mapped_->node_offsets;
-      return mapped_->node_entries.subspan(off[x], off[x + 1] - off[x]);
-    }
-    return node_vectors_[x];
+    if (!finalized_) return node_vectors_[x];
+    return node_entries_.subspan(node_offsets_[x],
+                                 node_offsets_[x + 1] - node_offsets_[x]);
   }
   std::span<const std::pair<uint32_t, float>> PairRow(uint32_t slot) const {
     MX_DCHECK(finalized_ && slot < pair_keys_.size());
-    if (mapped_ != nullptr) {
-      const std::vector<uint64_t>& off = mapped_->pair_offsets;
-      return mapped_->pair_entries.subspan(off[slot], off[slot + 1] - off[slot]);
-    }
-    return pair_vectors_[slot];
+    return pair_entries_.subspan(pair_offsets_[slot],
+                                 pair_offsets_[slot + 1] - pair_offsets_[slot]);
   }
   /// This index's transform as the score kernels' enum, for passing index
   /// rows to kernels::RowDot/RowDotMulti directly.
@@ -335,7 +318,10 @@ class MetagraphVectorIndex {
   /// only the raw stores are written.
   util::Status WriteTo(std::ostream& os) const;
 
-  /// Reads an index written by WriteTo. The result is finalized.
+  /// Reads an index written by WriteTo. The result is finalized. Rows
+  /// must come as the writer emits them — node ids and pair keys strictly
+  /// increasing, each key with x < y, each row's metagraph indices
+  /// strictly increasing — or the read fails.
   static util::StatusOr<MetagraphVectorIndex> ReadFrom(std::istream& is);
 
   /// Serializes to the v2 binary container (open `os` in binary mode).
@@ -353,20 +339,22 @@ class MetagraphVectorIndex {
       std::span<const uint8_t> bytes);
 
   /// Maps an aligned-layout v2 artifact read-only and serves its row
-  /// arrays zero-copy (cold sections — lengths, keys, bitmap — are still
-  /// decoded eagerly; the candidate postings are rebuilt). Compact-layout
-  /// artifacts are refused with a pointer at ReadBinaryFrom.
+  /// entries zero-copy (the cold sections — lengths, keys, bitmap — are
+  /// decoded; the candidate postings are rebuilt). Checks exactly what
+  /// ReadBinaryFrom checks, so a map touches every page once. Compact
+  /// artifacts are refused (kFailedPrecondition).
   static util::StatusOr<MetagraphVectorIndex> MapFromFile(
-      const std::string& path, const IndexLoadOptions& options = {});
+      const std::string& path);
 
   /// Loads `path` whatever its format: binary containers are detected by
-  /// magic and read via ReadBinaryFrom / MapFromFile per `options`; other
-  /// files take the v1 text path.
+  /// magic and mapped (`use_mmap`, aligned layout only) or read via
+  /// ReadBinaryFrom; other files take the v1 text path.
   static util::StatusOr<MetagraphVectorIndex> LoadFromFile(
-      const std::string& path, const IndexLoadOptions& options = {});
+      const std::string& path, bool use_mmap = false);
 
  private:
-  using SparseVec = std::vector<std::pair<uint32_t, float>>;
+  using Entry = std::pair<uint32_t, float>;
+  using SparseVec = std::vector<Entry>;
 
   /// One build-time shard of the pair-slot table: the pairs whose PairKey
   /// satisfies `key % num_shards_ == shard index`. `dirty` records the
@@ -389,30 +377,39 @@ class MetagraphVectorIndex {
     std::vector<NodeId> dirty MX_GUARDED_BY(mu);
   };
 
-  /// Zero-copy backing of a mapped artifact: the container file plus spans
-  /// into its raw entries sections, and the (small, decoded) row-offset
-  /// tables that delimit rows within them. The shared_ptr pins the mapping
-  /// for as long as any returned row span may be dereferenced.
-  struct MappedStore {
-    std::shared_ptr<util::MmapFile> file;
-    std::span<const std::pair<uint32_t, float>> node_entries;
-    std::span<const std::pair<uint32_t, float>> pair_entries;
-    std::vector<uint64_t> node_offsets;  // num_nodes + 1 prefix sums
-    std::vector<uint64_t> pair_offsets;  // num_pairs + 1 prefix sums
-    size_t num_nodes = 0;
-  };
-
   /// The v1 text parser behind ReadFrom, which wraps it in the
   /// allocation-failure guard (a text file can claim dimensions no
   /// section size bounds, unlike the binary container).
   static util::StatusOr<MetagraphVectorIndex> ReadTextFrom(std::istream& is);
 
+  /// The one binary loader behind ReadBinaryFrom (`mapping` null: entries
+  /// decoded or copied into owned storage) and MapFromFile (`mapping` over
+  /// `bytes`: raw entry sections aliased in place).
+  static util::StatusOr<MetagraphVectorIndex> LoadBinary(
+      std::span<const uint8_t> bytes, std::shared_ptr<util::MmapFile> mapping);
+
+  /// The loaders' one row check: every row `offsets` delimits in
+  /// `entries` has metagraph indices strictly increasing and < |M|.
+  util::Status CheckRows(std::span<const Entry> entries,
+                         const std::vector<uint64_t>& offsets,
+                         const char* what) const;
+
+  /// Drops the build state, points the entry spans at the filled store
+  /// and builds the candidate postings: the last step of Finalize() and
+  /// of every loader.
+  void AdoptEntries(std::span<const Entry> node_entries,
+                    std::span<const Entry> pair_entries);
+
   size_t ShardOf(uint64_t key) const { return key % num_shards_; }
-  /// The (x, y) pair row, or an empty span when the pair has no slot. In
-  /// mapped mode the lookup is a binary search over the sorted pair keys
-  /// (no hash table is materialized for a mapped artifact).
+  /// The (x, y) pair row, or an empty span when the pair has no slot.
+  /// Finalized, the lookup is a binary search for y in the ascending
+  /// Candidates(x) — no hash table and no search of the global key list.
   std::span<const std::pair<uint32_t, float>> FindPairRow(NodeId x,
                                                           NodeId y) const;
+  /// Every pair row in ascending key order, finalized or not: what both
+  /// writers serialize.
+  std::vector<std::pair<uint64_t, std::span<const Entry>>> SortedPairRows()
+      const;
   /// The pre-Finalize branch of FindPairRow: probes the owning shard's
   /// table WITHOUT its lock. Escape hatch 1 of <=3 (see
   /// docs/STATIC_ANALYSIS.md): this probe is the dual-stage trainer's hot
@@ -423,12 +420,12 @@ class MetagraphVectorIndex {
   /// the training inner loop without excluding any legal schedule.
   std::span<const std::pair<uint32_t, float>> ProbeShardRowUnlocked(
       uint64_t key) const MX_NO_THREAD_SAFETY_ANALYSIS;
-  void AppendPairRow(uint64_t key, SparseVec vec);  // binary/text read backdoor
   /// Builds the CSR candidate postings from the (already sorted) pair
-  /// keys. The tail of Finalize(), shared with the mapped-load path.
+  /// keys. The tail of Finalize(), shared with the loaders.
   void BuildPostings();
 
   size_t num_metagraphs_;
+  size_t num_graph_nodes_;
   CountTransform transform_;
   size_t num_shards_ = 1;
   // One byte per metagraph (not vector<bool>: concurrent Commits write
@@ -439,13 +436,23 @@ class MetagraphVectorIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<NodeStripe>> node_stripes_;
 
-  // node_vectors_[x] is m_x; rows live here in both phases.
+  // node_vectors_[x] is m_x until Finalize() packs it into the store.
   std::vector<SparseVec> node_vectors_;  // indexed by NodeId
 
-  // ---- finalized state --------------------------------------------------
-  std::vector<uint64_t> pair_keys_;  // sorted ascending
-  std::unordered_map<uint64_t, uint32_t> pair_slots_;
-  std::vector<SparseVec> pair_vectors_;  // indexed in pair_keys_ order
+  // ---- finalized state: the CSR store ------------------------------------
+  // Row x of the node store is node_entries_[node_offsets_[x] ..
+  // node_offsets_[x+1]); pair slot s, keyed pair_keys_[s], likewise.
+  std::vector<uint64_t> pair_keys_;  // strictly ascending, x < y
+  std::vector<uint64_t> node_offsets_;  // num_graph_nodes + 1 prefix sums
+  std::vector<uint64_t> pair_offsets_;  // num_pairs + 1 prefix sums
+  std::span<const Entry> node_entries_;
+  std::span<const Entry> pair_entries_;
+  // What the entry spans point into: the owned vectors, or the mapping,
+  // which stays pinned while the index lives. Moving the index moves the
+  // vectors' buffers, so the spans stay valid.
+  std::vector<Entry> owned_node_entries_;
+  std::vector<Entry> owned_pair_entries_;
+  std::shared_ptr<util::MmapFile> mapping_;
 
   // CSR postings: candidates_[cand_offsets_[x] .. cand_offsets_[x+1]).
   // cand_slots_ is parallel to candidates_: the pair-table slot of the
@@ -454,11 +461,6 @@ class MetagraphVectorIndex {
   std::vector<NodeId> candidates_;
   std::vector<uint32_t> cand_slots_;
   bool finalized_ = false;
-
-  // Set only by MapFromFile; see MappedStore. When set, node_vectors_,
-  // pair_vectors_ and pair_slots_ stay empty and the row accessors serve
-  // spans into the mapping instead.
-  std::unique_ptr<MappedStore> mapped_;
 };
 
 }  // namespace metaprox

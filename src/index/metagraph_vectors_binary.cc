@@ -1,6 +1,7 @@
-// The v2 binary persistence of MetagraphVectorIndex: writer for both
-// layouts (compact / aligned), the eager reader, and the zero-copy mapped
-// loader. Byte-level spec in docs/ARCHITECTURE.md "Persistence formats".
+// The v2 binary persistence of MetagraphVectorIndex: the writer for both
+// layouts (compact / aligned) and the one loader behind the eager reader
+// and the zero-copy mapped load. Byte-level spec in docs/ARCHITECTURE.md
+// "Persistence formats".
 //
 // Wire contract highlights:
 //   * Deterministic: the same committed contents serialize to the same
@@ -13,12 +14,13 @@
 //     small without costing determinism.
 //   * Hostile-input safe: every decode is bounds-checked and every
 //     structural invariant (strictly increasing row indices, strictly
-//     increasing pair keys, section sizes consistent with the declared
-//     dimensions) is validated, returning a structured Status — the
+//     increasing pair keys with x < y, section sizes consistent with the
+//     declared dimensions) is validated, returning a structured Status — the
 //     corruption battery in tests/binary_format_test.cc holds this file
 //     to "never crash, never silently mis-answer".
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -87,59 +89,32 @@ void AppendRow(std::string* out, Row row, bool packed) {
   }
 }
 
-// Decodes one concatenated entries section (either encoding), validating
-// the strict index increase and index < num_metagraphs per row, and that
-// the section holds exactly the bytes the row lengths imply. Emits each
-// row as `emit(row_number, row)` — including empty rows.
-template <typename Emit>
-util::Status DecodeEntrySection(std::span<const uint8_t> bytes, bool packed,
-                                const std::vector<uint64_t>& lens,
-                                uint64_t num_metagraphs, const char* what,
-                                Emit&& emit) {
+// Appends the `total` entries of one packed entries section to `out`,
+// row by row per `offsets`. Indices rise strictly by construction; an
+// index at or past |M| is refused here, before it could wrap.
+util::Status DecodePacked(std::span<const uint8_t> bytes,
+                          const std::vector<uint64_t>& offsets,
+                          uint64_t num_metagraphs, const char* what,
+                          std::vector<Entry>* out) {
   size_t pos = 0;
-  std::vector<Entry> row;
-  for (size_t r = 0; r < lens.size(); ++r) {
-    row.clear();
-    row.reserve(lens[r]);
-    uint64_t prev = 0;
-    for (uint64_t e = 0; e < lens[r]; ++e) {
-      uint64_t idx = 0;
+  for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+    uint64_t idx = 0;
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      uint64_t delta = 0;
       float c = 0;
-      if (packed) {
-        uint64_t delta = 0;
-        if (!util::ReadVarint(bytes, &pos, &delta) ||
-            !util::ReadScalar<float>(bytes, &pos, &c)) {
-          return util::Status::InvalidArgument(std::string(what) +
-                                               " section truncated");
-        }
-        // delta < num_metagraphs for any valid row, so prev + delta + 1
-        // cannot wrap (both < 2^32).
-        if (delta >= num_metagraphs) {
-          return util::Status::InvalidArgument(std::string(what) +
-                                               " entry index out of range");
-        }
-        idx = e == 0 ? delta : prev + delta + 1;
-      } else {
-        uint32_t i32 = 0;
-        if (!util::ReadScalar<uint32_t>(bytes, &pos, &i32) ||
-            !util::ReadScalar<float>(bytes, &pos, &c)) {
-          return util::Status::InvalidArgument(std::string(what) +
-                                               " section truncated");
-        }
-        idx = i32;
-        if (e > 0 && idx <= prev) {
-          return util::Status::InvalidArgument(
-              std::string(what) + " row not strictly increasing");
-        }
+      if (!util::ReadVarint(bytes, &pos, &delta) ||
+          !util::ReadScalar<float>(bytes, &pos, &c)) {
+        return util::Status::InvalidArgument(std::string(what) +
+                                             " section truncated");
       }
-      if (idx >= num_metagraphs) {
+      // A delta past |M| is refused before its (wrapping) sum is used.
+      idx = e == offsets[r] ? delta : idx + delta + 1;
+      if (delta >= num_metagraphs || idx >= num_metagraphs) {
         return util::Status::InvalidArgument(std::string(what) +
                                              " entry index out of range");
       }
-      prev = idx;
-      row.emplace_back(static_cast<uint32_t>(idx), c);
+      out->emplace_back(static_cast<uint32_t>(idx), c);
     }
-    emit(r, row);
   }
   if (pos != bytes.size()) {
     return util::Status::InvalidArgument(std::string(what) +
@@ -148,21 +123,24 @@ util::Status DecodeEntrySection(std::span<const uint8_t> bytes, bool packed,
   return util::Status::Ok();
 }
 
-// Everything a loader decodes eagerly regardless of mode: dimensions, the
-// committed bitmap, both row-length tables and the sorted pair keys. All
+// Everything decoded before the entry sections: dimensions, the committed
+// bitmap, the sorted pair keys and both row-offset tables. All
 // dimension-sized allocations are bounded by the (validated) section
 // sizes first, so a corrupt META cannot drive a huge allocation.
 struct ColdSections {
   uint64_t num_metagraphs = 0;
   uint64_t num_nodes = 0;
   CountTransform transform = CountTransform::kRaw;
-  std::vector<uint8_t> committed;    // one 0/1 byte per metagraph
-  std::vector<uint64_t> node_lens;   // num_nodes values
-  std::vector<uint64_t> pair_keys;   // sorted, packed (x << 32 | y)
-  std::vector<uint64_t> pair_lens;   // pair_keys.size() values
+  std::vector<uint8_t> committed;       // one 0/1 byte per metagraph
+  std::vector<uint64_t> node_offsets;   // num_nodes + 1 prefix sums
+  std::vector<uint64_t> pair_keys;      // sorted, packed (x << 32 | y)
+  std::vector<uint64_t> pair_offsets;   // pair_keys.size() + 1 prefix sums
 };
 
-util::StatusOr<std::vector<uint64_t>> DecodeLens(
+// Row offsets (in entries) from a section of `count` varint row lengths:
+// count + 1 prefix sums. Both `count` (bounded by the section size) and
+// each length (<= max_len <= 2^32) are checked, so the sums cannot wrap.
+util::StatusOr<std::vector<uint64_t>> DecodeOffsets(
     std::span<const uint8_t> bytes, uint64_t count, uint64_t max_len,
     const char* what) {
   // Each length takes >= 1 byte, so a count beyond the section size is
@@ -171,23 +149,25 @@ util::StatusOr<std::vector<uint64_t>> DecodeLens(
     return util::Status::InvalidArgument(std::string(what) +
                                          " section too small for its count");
   }
-  std::vector<uint64_t> lens(count);
+  std::vector<uint64_t> offsets(count + 1, 0);
   size_t pos = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    if (!util::ReadVarint(bytes, &pos, &lens[i])) {
+    uint64_t len = 0;
+    if (!util::ReadVarint(bytes, &pos, &len)) {
       return util::Status::InvalidArgument(std::string(what) +
                                            " section truncated");
     }
-    if (lens[i] > max_len) {
+    if (len > max_len) {
       return util::Status::InvalidArgument(std::string(what) +
                                            " row length exceeds |M|");
     }
+    offsets[i + 1] = offsets[i] + len;
   }
   if (pos != bytes.size()) {
     return util::Status::InvalidArgument(std::string(what) +
                                          " section has trailing bytes");
   }
-  return lens;
+  return offsets;
 }
 
 util::StatusOr<std::vector<uint64_t>> DecodePairKeys(
@@ -212,28 +192,20 @@ util::StatusOr<std::vector<uint64_t>> DecodePairKeys(
       return util::Status::InvalidArgument("pair key section truncated");
     }
     // Endpoints ride as (delta-x, y) when x advances, (0, delta-y) within
-    // one x. Deltas of a valid file are < num_nodes, which also rules out
-    // wraparound in the adds below.
+    // one x, both deltas from (0, 0) for the first pair. Deltas of a
+    // valid file are < num_nodes, which also rules out wraparound below.
     if (a >= num_nodes || b > num_nodes) {
       return util::Status::InvalidArgument("pair key delta out of range");
     }
-    uint64_t x = 0, y = 0;
-    if (i == 0) {
-      x = a;
-      y = b;
-    } else if (a != 0) {
-      x = px + a;
-      y = b;
-    } else {
-      if (b == 0) {
-        return util::Status::InvalidArgument(
-            "pair keys not strictly increasing");
-      }
-      x = px;
-      y = py + b;
+    const uint64_t x = px + a;
+    const uint64_t y = a != 0 ? b : py + b;
+    if (a == 0 && b == 0) {
+      return util::Status::InvalidArgument(
+          "pair keys not strictly increasing");
     }
-    if (x > y || y >= num_nodes) {
-      return util::Status::InvalidArgument("pair key node out of range");
+    if (x >= y || y >= num_nodes) {
+      return util::Status::InvalidArgument(
+          "pair key not (x, y) with x < y < num_nodes");
     }
     keys.push_back((x << 32) | y);
     px = x;
@@ -291,10 +263,10 @@ util::StatusOr<ColdSections> DecodeColdSections(
 
   auto node_lens = reader.Section(kSecNodeLens);
   if (!node_lens.ok()) return node_lens.status();
-  auto decoded_node_lens = DecodeLens(node_lens->bytes, cold.num_nodes,
-                                      cold.num_metagraphs, "node length");
-  if (!decoded_node_lens.ok()) return decoded_node_lens.status();
-  cold.node_lens = std::move(*decoded_node_lens);
+  auto node_offsets = DecodeOffsets(node_lens->bytes, cold.num_nodes,
+                                    cold.num_metagraphs, "node length");
+  if (!node_offsets.ok()) return node_offsets.status();
+  cold.node_offsets = std::move(*node_offsets);
 
   auto pair_keys = reader.Section(kSecPairKeys);
   if (!pair_keys.ok()) return pair_keys.status();
@@ -304,29 +276,20 @@ util::StatusOr<ColdSections> DecodeColdSections(
 
   auto pair_lens = reader.Section(kSecPairLens);
   if (!pair_lens.ok()) return pair_lens.status();
-  auto decoded_pair_lens = DecodeLens(pair_lens->bytes, cold.pair_keys.size(),
-                                      cold.num_metagraphs, "pair length");
-  if (!decoded_pair_lens.ok()) return decoded_pair_lens.status();
-  cold.pair_lens = std::move(*decoded_pair_lens);
+  auto pair_offsets = DecodeOffsets(pair_lens->bytes, cold.pair_keys.size(),
+                                    cold.num_metagraphs, "pair length");
+  if (!pair_offsets.ok()) return pair_offsets.status();
+  cold.pair_offsets = std::move(*pair_offsets);
 
   return cold;
-}
-
-// Row offsets (in entries) from the length table: lens.size() + 1 prefix
-// sums. Total bounded by sum <= lens.size() * max_len <= 2^64-safe since
-// both factors were validated <= 2^32.
-std::vector<uint64_t> PrefixSums(const std::vector<uint64_t>& lens) {
-  std::vector<uint64_t> offsets(lens.size() + 1, 0);
-  for (size_t i = 0; i < lens.size(); ++i) {
-    offsets[i + 1] = offsets[i] + lens[i];
-  }
-  return offsets;
 }
 
 }  // namespace
 
 util::Status MetagraphVectorIndex::WriteBinaryTo(std::ostream& os,
                                                  BinaryLayout layout) const {
+  // Compact packs the entries and LZW-compresses every section where that
+  // shrinks it; aligned stores every section raw.
   const bool packed = layout == BinaryLayout::kCompact;
   const uint32_t entry_flags = packed ? util::kSectionPacked : 0;
   const size_t num_nodes = num_graph_nodes();
@@ -348,7 +311,7 @@ util::Status MetagraphVectorIndex::WriteBinaryTo(std::ostream& os,
           static_cast<uint8_t>(bits[i / 8]) | (1u << (i % 8)));
     }
   }
-  writer.AddSection(kSecCommitted, std::move(bits), 0, /*try_compress=*/true);
+  writer.AddSection(kSecCommitted, std::move(bits), 0, packed);
 
   std::vector<Entry> scratch;
   std::string node_lens, node_entries;
@@ -357,185 +320,132 @@ util::Status MetagraphVectorIndex::WriteBinaryTo(std::ostream& os,
     util::AppendVarint(&node_lens, row.size());
     AppendRow(&node_entries, row, packed);
   }
-  writer.AddSection(kSecNodeLens, std::move(node_lens), 0, true);
+  writer.AddSection(kSecNodeLens, std::move(node_lens), 0, packed);
   writer.AddSection(kSecNodeEntries, std::move(node_entries), entry_flags,
                     packed);
 
   // Pairs in sorted key order, like the text writer: byte-identical for
-  // any thread/shard count, finalized or not.
-  std::vector<uint64_t> keys;
-  if (finalized_) {
-    keys = pair_keys_;
-  } else {
-    keys.reserve(num_pairs());
-    for (const auto& shard : shards_) {
-      mx::MutexLock lock(shard->mu);
-      // lint:allow-unordered-iter — collection order is erased by the sort.
-      for (const auto& [key, row] : shard->pairs) keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-  }
-  std::string pk;
-  util::AppendVarint(&pk, keys.size());
+  // any thread/shard count, finalized or not. Keys are delta-coded from
+  // (0, 0): (x - prev_x, y) when x advances, else (0, y - prev_y).
+  const auto pair_rows = SortedPairRows();
+  std::string pair_keys, pair_lens, pair_entries;
+  util::AppendVarint(&pair_keys, pair_rows.size());
   uint64_t px = 0, py = 0;
-  bool first = true;
-  for (uint64_t key : keys) {
+  for (const auto& [key, pair_row] : pair_rows) {
     const uint64_t x = key >> 32;
     const uint64_t y = key & 0xffffffffu;
-    if (first) {
-      util::AppendVarint(&pk, x);
-      util::AppendVarint(&pk, y);
-      first = false;
-    } else if (x != px) {
-      util::AppendVarint(&pk, x - px);
-      util::AppendVarint(&pk, y);
-    } else {
-      util::AppendVarint(&pk, 0);
-      util::AppendVarint(&pk, y - py);
-    }
+    util::AppendVarint(&pair_keys, x - px);
+    util::AppendVarint(&pair_keys, x != px ? y : y - py);
     px = x;
     py = y;
-  }
-  writer.AddSection(kSecPairKeys, std::move(pk), 0, true);
-
-  std::string pair_lens, pair_entries;
-  for (uint64_t key : keys) {
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    const NodeId y = static_cast<NodeId>(key & 0xffffffffu);
-    const Row row = Canonical(FindPairRow(x, y), &scratch);
+    const Row row = Canonical(pair_row, &scratch);
     util::AppendVarint(&pair_lens, row.size());
     AppendRow(&pair_entries, row, packed);
   }
-  writer.AddSection(kSecPairLens, std::move(pair_lens), 0, true);
+  writer.AddSection(kSecPairKeys, std::move(pair_keys), 0, packed);
+  writer.AddSection(kSecPairLens, std::move(pair_lens), 0, packed);
   writer.AddSection(kSecPairEntries, std::move(pair_entries), entry_flags,
                     packed);
 
   return writer.WriteTo(os);
 }
 
-util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadBinaryFrom(
-    std::span<const uint8_t> bytes) {
-  // The eager path reads every byte anyway, so checksums are always on.
-  auto reader = util::ContainerReader::Parse(bytes, util::kIndexArtifact,
-                                             /*verify_checksums=*/true);
+util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::LoadBinary(
+    std::span<const uint8_t> bytes, std::shared_ptr<util::MmapFile> mapping) {
+  auto reader = util::ContainerReader::Parse(bytes, util::kIndexArtifact);
   if (!reader.ok()) return reader.status();
-  auto cold = DecodeColdSections(*reader);
-  if (!cold.ok()) return cold.status();
-
-  MetagraphVectorIndex index(cold->num_metagraphs, cold->num_nodes,
-                             cold->transform, /*num_shards=*/1);
-  index.committed_ = std::move(cold->committed);
-
-  auto node_entries = reader->Section(kSecNodeEntries);
-  if (!node_entries.ok()) return node_entries.status();
-  util::Status status = DecodeEntrySection(
-      node_entries->bytes,
-      (reader->Flags(kSecNodeEntries) & util::kSectionPacked) != 0,
-      cold->node_lens, cold->num_metagraphs, "node entries",
-      [&](size_t r, Row row) {
-        index.node_vectors_[r].assign(row.begin(), row.end());
-      });
-  if (!status.ok()) return status;
-
-  auto pair_entries = reader->Section(kSecPairEntries);
-  if (!pair_entries.ok()) return pair_entries.status();
-  status = DecodeEntrySection(
-      pair_entries->bytes,
-      (reader->Flags(kSecPairEntries) & util::kSectionPacked) != 0,
-      cold->pair_lens, cold->num_metagraphs, "pair entries",
-      [&](size_t r, Row row) {
-        index.AppendPairRow(cold->pair_keys[r],
-                            SparseVec(row.begin(), row.end()));
-      });
-  if (!status.ok()) return status;
-
-  index.Finalize();
-  return index;
-}
-
-util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::MapFromFile(
-    const std::string& path, const IndexLoadOptions& options) {
-  auto file = util::MmapFile::OpenReadOnly(path);
-  if (!file.ok()) return file.status();
-  auto reader = util::ContainerReader::Parse(
-      (*file)->bytes(), util::kIndexArtifact, options.verify_checksums);
-  if (!reader.ok()) return reader.status();
-  auto cold = DecodeColdSections(*reader);
-  if (!cold.ok()) return cold.status();
-
-  auto store = std::make_unique<MappedStore>();
-  store->file = *file;
-  store->num_nodes = cold->num_nodes;
-  store->node_offsets = PrefixSums(cold->node_lens);
-  store->pair_offsets = PrefixSums(cold->pair_lens);
-
-  struct Hot {
-    uint32_t id;
-    const std::vector<uint64_t>* offsets;
-    std::span<const Entry>* out;
-    const char* what;
-  };
-  const Hot hot[2] = {
-      {kSecNodeEntries, &store->node_offsets, &store->node_entries,
-       "node entries"},
-      {kSecPairEntries, &store->pair_offsets, &store->pair_entries,
-       "pair entries"},
-  };
-  for (const Hot& h : hot) {
-    if ((reader->Flags(h.id) &
-         (util::kSectionPacked | util::kSectionLzw)) != 0) {
-      return util::Status::FailedPrecondition(
-          "compact-layout artifact cannot be mapped: its entry sections "
-          "are packed/compressed; load it eagerly (ReadBinaryFrom) or "
-          "re-encode with BinaryLayout::kAligned");
-    }
-    auto section = reader->Section(h.id);
-    if (!section.ok()) return section.status();
-    const std::span<const uint8_t> raw = section->bytes;
-    if (raw.size() != h.offsets->back() * sizeof(Entry)) {
-      return util::Status::InvalidArgument(
-          std::string(h.what) + " section disagrees with row lengths");
-    }
-    *h.out = std::span<const Entry>(
-        reinterpret_cast<const Entry*>(raw.data()), raw.size() / sizeof(Entry));
-    if (options.verify_checksums) {
-      // Deep entry validation; the CRC pass above already paid the page
-      // touches, so this is the same-order cost.
-      const std::vector<uint64_t>& off = *h.offsets;
-      for (size_t r = 0; r + 1 < off.size(); ++r) {
-        uint64_t prev = 0;
-        for (uint64_t e = off[r]; e < off[r + 1]; ++e) {
-          const uint32_t idx = (*h.out)[e].first;
-          if (idx >= cold->num_metagraphs ||
-              (e > off[r] && idx <= prev)) {
-            return util::Status::InvalidArgument(
-                std::string(h.what) + " row entries invalid");
-          }
-          prev = idx;
-        }
+  if (mapping != nullptr) {
+    for (uint32_t id : {kSecNodeEntries, kSecPairEntries}) {
+      if ((reader->Flags(id) &
+           (util::kSectionPacked | util::kSectionLzw)) != 0) {
+        return util::Status::FailedPrecondition(
+            "compact-layout artifact cannot be mapped: its entry sections "
+            "are packed/compressed; load it eagerly (ReadBinaryFrom) or "
+            "re-encode with BinaryLayout::kAligned");
       }
     }
   }
+  auto cold = DecodeColdSections(*reader);
+  if (!cold.ok()) return cold.status();
 
-  MetagraphVectorIndex index(cold->num_metagraphs, /*num_graph_nodes=*/0,
-                             cold->transform, /*num_shards=*/1);
+  MetagraphVectorIndex index(cold->num_metagraphs, 0, cold->transform);
+  index.num_graph_nodes_ = cold->num_nodes;
   index.committed_ = std::move(cold->committed);
+  index.node_offsets_ = std::move(cold->node_offsets);
   index.pair_keys_ = std::move(cold->pair_keys);
-  index.shards_.clear();
-  index.node_stripes_.clear();
-  index.mapped_ = std::move(store);
-  index.BuildPostings();
-  index.finalized_ = true;
+  index.pair_offsets_ = std::move(cold->pair_offsets);
+
+  // Each entries section is checked against its offsets, then aliased in
+  // place (mapped) or decoded/copied into owned storage.
+  struct Hot {
+    uint32_t id;
+    const std::vector<uint64_t>& offsets;
+    std::vector<Entry>& owned;
+    const char* what;
+  };
+  const Hot hot[2] = {{kSecNodeEntries, index.node_offsets_,
+                       index.owned_node_entries_, "node entries"},
+                      {kSecPairEntries, index.pair_offsets_,
+                       index.owned_pair_entries_, "pair entries"}};
+  std::span<const Entry> entries[2];
+  for (int i = 0; i < 2; ++i) {
+    const Hot& h = hot[i];
+    auto section = reader->Section(h.id);
+    if (!section.ok()) return section.status();
+    const std::span<const uint8_t> data = section->bytes;
+    const uint64_t total = h.offsets.back();
+    const bool packed = (reader->Flags(h.id) & util::kSectionPacked) != 0;
+    // A packed entry takes >= 5 bytes (varint + float32), a raw one 8.
+    if (packed ? total > data.size() / 5
+               : data.size() % sizeof(Entry) != 0 ||
+                     data.size() / sizeof(Entry) != total) {
+      return util::Status::InvalidArgument(
+          std::string(h.what) + " section disagrees with row lengths");
+    }
+    if (mapping != nullptr) {
+      entries[i] = {reinterpret_cast<const Entry*>(data.data()), total};
+      continue;
+    }
+    if (packed) {
+      h.owned.reserve(total);
+      MX_RETURN_IF_ERROR(DecodePacked(data, h.offsets, cold->num_metagraphs,
+                                      h.what, &h.owned));
+    } else if (total > 0) {
+      h.owned.resize(total);
+      std::memcpy(static_cast<void*>(h.owned.data()), data.data(),
+                  data.size());
+    }
+    entries[i] = h.owned;
+  }
+  MX_RETURN_IF_ERROR(
+      index.CheckRows(entries[0], index.node_offsets_, hot[0].what));
+  MX_RETURN_IF_ERROR(
+      index.CheckRows(entries[1], index.pair_offsets_, hot[1].what));
+  index.mapping_ = std::move(mapping);
+  index.AdoptEntries(entries[0], entries[1]);
   return index;
 }
 
+util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadBinaryFrom(
+    std::span<const uint8_t> bytes) {
+  return LoadBinary(bytes, nullptr);
+}
+
+util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::MapFromFile(
+    const std::string& path) {
+  auto file = util::MmapFile::OpenReadOnly(path);
+  if (!file.ok()) return file.status();
+  const std::span<const uint8_t> bytes = (*file)->bytes();
+  return LoadBinary(bytes, std::move(*file));
+}
+
 util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::LoadFromFile(
-    const std::string& path, const IndexLoadOptions& options) {
+    const std::string& path, bool use_mmap) {
   auto is_container = util::PathIsContainer(path);
   if (!is_container.ok()) return is_container.status();
   if (*is_container) {
-    if (options.use_mmap) {
-      auto mapped = MapFromFile(path, options);
+    if (use_mmap) {
+      auto mapped = MapFromFile(path);
       // kFailedPrecondition = "not an aligned-layout artifact": mmap is
       // advisory in LoadFromFile, so compact artifacts fall back to the
       // eager parse below. Any other failure (corruption, IO) surfaces.

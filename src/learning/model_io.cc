@@ -118,8 +118,7 @@ util::Status WriteMgpModelBinary(const MgpModel& model, std::ostream& os) {
 
 util::StatusOr<MgpModel> ReadMgpModelBinary(std::span<const uint8_t> bytes,
                                             size_t expected_weights) {
-  auto reader = util::ContainerReader::Parse(bytes, util::kModelArtifact,
-                                             /*verify_checksums=*/true);
+  auto reader = util::ContainerReader::Parse(bytes, util::kModelArtifact);
   if (!reader.ok()) return reader.status();
   auto meta = reader->Section(kSecModelMeta);
   if (!meta.ok()) return meta.status();

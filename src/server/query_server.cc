@@ -993,8 +993,7 @@ void QueryServer::RunAdminTask(const AdminTask& task) {
       // offline rebuild) over the live graph and metagraph set. The new
       // generation aliases both — only the vectors change.
       const auto current = indexes_->Get();
-      auto index = MetagraphVectorIndex::LoadFromFile(
-          request.path + ".index", IndexLoadOptions{});
+      auto index = MetagraphVectorIndex::LoadFromFile(request.path + ".index");
       if (!index.ok()) {
         fail(ErrorCode::kIndexAdminError, index.status().ToString());
         return;

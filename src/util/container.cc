@@ -125,8 +125,7 @@ Status ContainerWriter::WriteTo(std::ostream& os) const {
 }
 
 StatusOr<ContainerReader> ContainerReader::Parse(
-    std::span<const uint8_t> bytes, uint32_t expected_kind,
-    bool verify_checksums) {
+    std::span<const uint8_t> bytes, uint32_t expected_kind) {
   if (!StartsWithContainerMagic(bytes)) {
     return Status::InvalidArgument("not a metaprox binary container");
   }
@@ -195,8 +194,7 @@ StatusOr<ContainerReader> ContainerReader::Parse(
         return Status::InvalidArgument("duplicate container section id");
       }
     }
-    if (verify_checksums &&
-        Crc32(bytes.subspan(e.offset, e.stored_size)) != e.crc) {
+    if (Crc32(bytes.subspan(e.offset, e.stored_size)) != e.crc) {
       return Status::InvalidArgument("container section " +
                                      std::to_string(e.id) +
                                      " checksum mismatch");

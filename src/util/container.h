@@ -21,18 +21,17 @@
 //     +36 reserved         u32      0
 //   payloads, each at a 64-byte-aligned offset, zero-padded between
 //
-// The alignment means a raw ("hot") section mapped via util::MmapFile can
-// be reinterpreted in place — zero-copy — while cold sections ride
-// delta/varint-packed and optionally LZW-compressed (util/lzw.h; a
-// section stays compressed only when that actually shrank it).
+// The alignment means a raw section mapped via util::MmapFile can be
+// reinterpreted in place — zero-copy. A writer may instead store a
+// section LZW-compressed (util/lzw.h; it stays compressed only when that
+// actually shrank it), which costs a decode on every load.
 //
 // ContainerWriter output is a pure function of the added sections, so
 // artifacts are byte-deterministic — what the golden-file test pins.
-// ContainerReader validates structure unconditionally (magic, version,
-// kind, size, table checksum, every offset/length in bounds) and section
-// payloads against their CRCs when `verify_checksums` is set; any
-// violation is a structured Status, never a crash — the contract the
-// corruption battery enforces byte by byte.
+// ContainerReader validates the structure (magic, version, kind, size,
+// table checksum, every offset/length in bounds) and every section
+// payload against its CRC; any violation is a structured Status, never a
+// crash — the contract the corruption battery enforces byte by byte.
 #ifndef METAPROX_UTIL_CONTAINER_H_
 #define METAPROX_UTIL_CONTAINER_H_
 
@@ -113,12 +112,21 @@ struct SectionData {
 /// e.g. a MmapFile holder — must keep them alive).
 class ContainerReader {
  public:
-  /// Structural validation always; payload CRCs only with
-  /// `verify_checksums` (skipping them avoids touching every page of a
-  /// large mapped artifact — a documented trusted-file fast path).
+  /// Validates the structure and every section's payload CRC.
   static StatusOr<ContainerReader> Parse(std::span<const uint8_t> bytes,
-                                         uint32_t expected_kind,
-                                         bool verify_checksums);
+                                         uint32_t expected_kind);
+
+  /// One section-table entry.
+  struct Entry {
+    uint32_t id;
+    uint32_t flags;
+    uint64_t offset;
+    uint64_t stored_size;
+    uint64_t raw_size;
+    uint32_t crc;
+  };
+  /// The section table in file order (for size reports).
+  std::span<const Entry> entries() const { return entries_; }
 
   bool Has(uint32_t id) const { return Find(id) != nullptr; }
   /// Flags of section `id` (0 when absent).
@@ -129,14 +137,6 @@ class ContainerReader {
   StatusOr<SectionData> Section(uint32_t id) const;
 
  private:
-  struct Entry {
-    uint32_t id;
-    uint32_t flags;
-    uint64_t offset;
-    uint64_t stored_size;
-    uint64_t raw_size;
-    uint32_t crc;
-  };
   const Entry* Find(uint32_t id) const;
 
   std::span<const uint8_t> bytes_;

@@ -225,8 +225,7 @@ std::string WriteContainer(uint32_t kind, bool compressible_payload = true) {
 TEST(Container, RoundTripsSectionsAndFlags) {
   const std::string bytes = WriteContainer(util::kIndexArtifact);
   auto reader =
-      util::ContainerReader::Parse(AsBytes(bytes), util::kIndexArtifact,
-                                   /*verify_checksums=*/true);
+      util::ContainerReader::Parse(AsBytes(bytes), util::kIndexArtifact);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
 
   ASSERT_TRUE(reader->Has(1));
@@ -259,8 +258,8 @@ TEST(Container, IncompressibleSectionStaysRaw) {
   std::ostringstream os(std::ios::binary);
   ASSERT_TRUE(writer.WriteTo(os).ok());
   const std::string bytes = os.str();
-  auto reader = util::ContainerReader::Parse(AsBytes(bytes),
-                                             util::kModelArtifact, true);
+  auto reader =
+      util::ContainerReader::Parse(AsBytes(bytes), util::kModelArtifact);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader->Flags(1) & util::kSectionLzw, 0u);
   auto section = reader->Section(1);
@@ -276,7 +275,7 @@ TEST(Container, OutputIsByteDeterministic) {
 TEST(Container, RejectsStructuralCorruption) {
   const std::string good = WriteContainer(util::kIndexArtifact);
   auto parse = [](const std::string& bytes, uint32_t kind) {
-    return util::ContainerReader::Parse(AsBytes(bytes), kind, true);
+    return util::ContainerReader::Parse(AsBytes(bytes), kind);
   };
   ASSERT_TRUE(parse(good, util::kIndexArtifact).ok());
 
@@ -319,14 +318,8 @@ TEST(Container, PayloadCorruptionCaughtByChecksums) {
   ASSERT_NE(payload_pos, std::string::npos);
   std::string bad = good;
   bad[payload_pos] ^= 0xff;
-  EXPECT_FALSE(util::ContainerReader::Parse(AsBytes(bad),
-                                            util::kIndexArtifact, true)
-                   .ok());
-  // The same corruption passes structural parsing when checksum
-  // verification is off — the documented trusted-file fast path.
-  auto lax = util::ContainerReader::Parse(AsBytes(bad), util::kIndexArtifact,
-                                          /*verify_checksums=*/false);
-  EXPECT_TRUE(lax.ok());
+  EXPECT_FALSE(
+      util::ContainerReader::Parse(AsBytes(bad), util::kIndexArtifact).ok());
 }
 
 TEST(Container, MagicDetection) {
@@ -421,32 +414,33 @@ TEST(IndexBinaryFormat, AllFormatsAgreeBitwise) {
   }
 }
 
-TEST(IndexBinaryFormat, RandomGraphFormatsAgree) {
-  Graph graph = testing::MakeRandomGraph(80, 4, 3.0, 7);
+// A matched index over a random graph: `num_nodes` nodes, 5 random
+// 3-node metagraphs, log1p transform.
+MetagraphVectorIndex BuildRandomIndex(size_t num_nodes) {
+  Graph graph = testing::MakeRandomGraph(num_nodes, 4, 3.0, 7);
   util::Rng rng(21);
-  std::vector<Metagraph> metagraphs;
-  for (int i = 0; i < 5; ++i) {
-    metagraphs.push_back(testing::MakeRandomMetagraph(3, 4, rng));
+  MetagraphVectorIndex index(5, graph.num_nodes(), CountTransform::kLog1p);
+  auto matcher = CreateMatcher(MatcherKind::kSymISO);
+  for (uint32_t i = 0; i < 5; ++i) {
+    Metagraph metagraph = testing::MakeRandomMetagraph(3, 4, rng);
+    SymmetryInfo sym = AnalyzeSymmetry(metagraph);
+    SymPairCountingSink sink(sym, UINT64_MAX);
+    matcher->Match(graph, metagraph, &sink);
+    index.Commit(i, sink, sym.aut_size());
   }
-  auto build = [&] {
-    MetagraphVectorIndex index(metagraphs.size(), graph.num_nodes(),
-                               CountTransform::kLog1p);
-    auto matcher = CreateMatcher(MatcherKind::kSymISO);
-    for (uint32_t i = 0; i < metagraphs.size(); ++i) {
-      SymmetryInfo sym = AnalyzeSymmetry(metagraphs[i]);
-      SymPairCountingSink sink(sym, UINT64_MAX);
-      matcher->Match(graph, metagraphs[i], &sink);
-      index.Commit(i, sink, sym.aut_size());
-    }
-    index.Finalize();
-    return index;
-  };
-  const std::vector<double> expected = IndexSignature(build());
+  index.Finalize();
+  return index;
+}
+
+TEST(IndexBinaryFormat, RandomGraphFormatsAgree) {
+  const std::vector<double> expected = IndexSignature(BuildRandomIndex(80));
   for (auto mode : {testing::IndexRoundTrip::kText,
                     testing::IndexRoundTrip::kBinaryCompact,
                     testing::IndexRoundTrip::kBinaryAligned,
                     testing::IndexRoundTrip::kMapped}) {
-    EXPECT_EQ(IndexSignature(testing::ApplyRoundTrip(build(), mode)), expected)
+    EXPECT_EQ(IndexSignature(testing::ApplyRoundTrip(BuildRandomIndex(80),
+                                                     mode)),
+              expected)
         << testing::IndexRoundTripName(mode);
   }
 }
@@ -486,24 +480,116 @@ TEST(IndexBinaryFormat, MmapRequiresAlignedLayout) {
 
   // ...but LoadFromFile falls back to the eager path, and only an aligned
   // artifact actually ends up mapped.
-  IndexLoadOptions want_mmap;
-  want_mmap.use_mmap = true;
-  auto compact = MetagraphVectorIndex::LoadFromFile(compact_path, want_mmap);
+  auto compact = MetagraphVectorIndex::LoadFromFile(compact_path,
+                                                    /*use_mmap=*/true);
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   EXPECT_FALSE(compact->is_mapped());
-  auto aligned = MetagraphVectorIndex::LoadFromFile(aligned_path, want_mmap);
+  auto aligned = MetagraphVectorIndex::LoadFromFile(aligned_path,
+                                                    /*use_mmap=*/true);
   ASSERT_TRUE(aligned.ok()) << aligned.status().ToString();
   EXPECT_TRUE(aligned->is_mapped());
   EXPECT_EQ(IndexSignature(*aligned), IndexSignature(index));
+}
 
-  // The trusted-file fast path (no checksum or entry validation) still
-  // serves correct data from an intact artifact.
-  IndexLoadOptions trusted;
-  trusted.use_mmap = true;
-  trusted.verify_checksums = false;
-  auto fast = MetagraphVectorIndex::LoadFromFile(aligned_path, trusted);
-  ASSERT_TRUE(fast.ok());
-  EXPECT_EQ(IndexSignature(*fast), IndexSignature(index));
+// ---- index: the one finalized store ----------------------------------------
+//
+// However a finalized index was made — Finalize() or any of the four
+// loads — it is one CSR store, and these properties hold over it.
+
+constexpr testing::IndexRoundTrip kAllRoundTrips[] = {
+    testing::IndexRoundTrip::kDirect, testing::IndexRoundTrip::kText,
+    testing::IndexRoundTrip::kBinaryCompact,
+    testing::IndexRoundTrip::kBinaryAligned, testing::IndexRoundTrip::kMapped};
+
+TEST(IndexStore, CandidatesAscendAndPairLookupsMatchSlots) {
+  for (auto mode : kAllRoundTrips) {
+    SCOPED_TRACE(testing::IndexRoundTripName(mode));
+    MetagraphVectorIndex index =
+        testing::ApplyRoundTrip(BuildRandomIndex(80), mode);
+    ASSERT_GT(index.num_pairs(), 0u);
+    std::vector<double> w(index.num_metagraphs());
+    for (size_t i = 0; i < w.size(); ++i) w[i] = 0.5 + 0.25 * i;
+    std::vector<std::pair<uint32_t, double>> sparse;
+    const NodeId n = static_cast<NodeId>(index.num_graph_nodes());
+    for (NodeId x = 0; x < n; ++x) {
+      const auto cands = index.Candidates(x);
+      const auto slots = index.CandidateSlots(x);
+      ASSERT_EQ(cands.size(), slots.size());
+      for (size_t i = 0; i < cands.size(); ++i) {
+        if (i > 0) {
+          ASSERT_LT(cands[i - 1], cands[i]) << "node " << x;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(index.PairDot(x, cands[i], w)),
+                  std::bit_cast<uint64_t>(index.SlotDot(slots[i], w)))
+            << "pair (" << x << ", " << cands[i] << ")";
+      }
+      // Sampled non-candidates, x itself included, have no pair row.
+      for (NodeId y = x % 7; y < n; y += 7) {
+        if (std::binary_search(cands.begin(), cands.end(), y)) continue;
+        EXPECT_EQ(index.PairDot(x, y, w), 0.0) << x << ", " << y;
+        sparse.clear();
+        index.SparsePairVector(x, y, &sparse);
+        EXPECT_TRUE(sparse.empty()) << x << ", " << y;
+      }
+    }
+  }
+}
+
+template <typename T>
+std::string RowBytes(std::span<const T> row) {
+  return std::string(reinterpret_cast<const char*>(row.data()),
+                     row.size() * sizeof(T));
+}
+
+TEST(IndexStore, OwnedAndMappedLoadsServeIdenticalRows) {
+  const MetagraphVectorIndex index = BuildRandomIndex(80);
+  const std::string bytes = BinaryBytes(index, BinaryLayout::kAligned);
+  const std::string path = testing::UniqueTempPath("store_rows");
+  { std::ofstream(path, std::ios::binary) << bytes; }
+  auto owned = MetagraphVectorIndex::ReadBinaryFrom(AsBytes(bytes));
+  auto mapped = MetagraphVectorIndex::MapFromFile(path);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(owned->is_mapped());
+  EXPECT_TRUE(mapped->is_mapped());
+  ASSERT_EQ(owned->num_graph_nodes(), index.num_graph_nodes());
+  ASSERT_EQ(mapped->num_pairs(), index.num_pairs());
+  for (NodeId x = 0; x < index.num_graph_nodes(); ++x) {
+    EXPECT_EQ(RowBytes(owned->NodeRow(x)), RowBytes(index.NodeRow(x)));
+    EXPECT_EQ(RowBytes(mapped->NodeRow(x)), RowBytes(index.NodeRow(x)));
+    EXPECT_EQ(RowBytes(mapped->Candidates(x)), RowBytes(index.Candidates(x)));
+    EXPECT_EQ(RowBytes(mapped->CandidateSlots(x)),
+              RowBytes(index.CandidateSlots(x)));
+  }
+  for (uint32_t slot = 0; slot < index.num_pairs(); ++slot) {
+    EXPECT_EQ(RowBytes(owned->PairRow(slot)), RowBytes(index.PairRow(slot)));
+    EXPECT_EQ(RowBytes(mapped->PairRow(slot)), RowBytes(index.PairRow(slot)));
+  }
+}
+
+TEST(IndexStore, AlignedStoresEverySectionRawAndCompactPacks) {
+  // Large enough that LZW shrinks the compact layout's sections.
+  const MetagraphVectorIndex index = BuildRandomIndex(1200);
+  const std::string aligned = BinaryBytes(index, BinaryLayout::kAligned);
+  auto reader =
+      util::ContainerReader::Parse(AsBytes(aligned), util::kIndexArtifact);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (const auto& entry : reader->entries()) {
+    EXPECT_EQ(entry.flags, 0u) << "aligned section " << entry.id;
+  }
+
+  const std::string compact = BinaryBytes(index, BinaryLayout::kCompact);
+  reader = util::ContainerReader::Parse(AsBytes(compact), util::kIndexArtifact);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  bool any_lzw = false;
+  for (const auto& entry : reader->entries()) {
+    any_lzw |= (entry.flags & util::kSectionLzw) != 0;
+  }
+  EXPECT_TRUE(any_lzw);
+  for (uint32_t entries_id : {4u, 7u}) {  // NODE_ENTRIES, PAIR_ENTRIES
+    EXPECT_NE(reader->Flags(entries_id) & util::kSectionPacked, 0u)
+        << "compact section " << entries_id;
+  }
 }
 
 // ---- model binary format ---------------------------------------------------
@@ -650,6 +736,75 @@ TEST(CorruptionBattery, ModelArtifactBattery) {
     auto loaded = ReadMgpModelBinary(AsBytes(bad));
     if (loaded.ok()) ExpectBitEqual(loaded->weights, model.weights);
   }
+}
+
+TEST(CorruptionBattery, TextIndexRefusesNonCanonicalKeysAndRows) {
+  // Two metagraphs over three nodes. A pair key is x << 32 | y:
+  // 1 = (0, 1), 2 = (0, 2), 4294967296 = (1, 0), 8589934594 = (2, 2).
+  auto text = [](const std::string& nodes, const std::string& pairs) {
+    return "metaprox-index v1\n2 3 0\ncommitted 1 1\n" + nodes + pairs;
+  };
+  auto read = [](const std::string& artifact) {
+    std::istringstream is(artifact);
+    return MetagraphVectorIndex::ReadFrom(is);
+  };
+  const std::string no_nodes = "nodes 0\n";
+  const std::string no_pairs = "pairs 0\n";
+  ASSERT_TRUE(read(text("nodes 2\n0 2 0 1 1 2\n2 1 1 3\n",
+                        "pairs 2\n1 1 0 1\n2 2 0 1 1 5\n"))
+                  .ok());
+  for (const auto& [name, artifact] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"key with x > y", text(no_nodes, "pairs 1\n4294967296 1 0 1\n")},
+           {"key with x == y", text(no_nodes, "pairs 1\n8589934594 1 0 5\n")},
+           {"keys descending", text(no_nodes, "pairs 2\n2 1 0 1\n1 1 0 1\n")},
+           {"key repeated", text(no_nodes, "pairs 2\n1 1 0 1\n1 1 0 2\n")},
+           {"pair row descending", text(no_nodes, "pairs 1\n1 2 1 1 0 1\n")},
+           {"pair row repeats", text(no_nodes, "pairs 1\n1 2 0 1 0 2\n")},
+           {"node row descending", text("nodes 1\n0 2 1 1 0 1\n", no_pairs)},
+           {"node row repeats", text("nodes 1\n0 2 1 1 1 1\n", no_pairs)},
+           {"nodes descending",
+            text("nodes 2\n1 1 0 1\n0 1 0 1\n", no_pairs)},
+           {"node repeated", text("nodes 2\n1 1 0 1\n1 1 1 1\n", no_pairs)},
+       }) {
+    EXPECT_FALSE(read(artifact).ok()) << name;
+  }
+}
+
+TEST(CorruptionBattery, BinaryIndexRefusesSelfPairKey) {
+  // A hand-built aligned artifact, one metagraph over two nodes, whose
+  // only pair key is (x, y) as given (sections per ARCHITECTURE.md).
+  auto artifact = [](uint64_t x, uint64_t y) {
+    util::ContainerWriter writer(util::kIndexArtifact);
+    std::string meta;
+    util::AppendScalar<uint64_t>(&meta, 1);  // num_metagraphs
+    util::AppendScalar<uint64_t>(&meta, 2);  // num_nodes
+    util::AppendScalar<uint32_t>(&meta, 0);  // transform
+    util::AppendScalar<uint32_t>(&meta, 0);
+    writer.AddSection(1, meta);
+    writer.AddSection(2, std::string(1, '\x01'));  // committed bitmap
+    writer.AddSection(3, std::string(2, '\0'));    // empty node rows
+    writer.AddSection(4, "");
+    std::string keys;
+    util::AppendVarint(&keys, 1);
+    util::AppendVarint(&keys, x);
+    util::AppendVarint(&keys, y);
+    writer.AddSection(5, keys);
+    writer.AddSection(6, std::string(1, '\x01'));  // one entry
+    std::string entry;
+    util::AppendScalar<uint32_t>(&entry, 0);
+    util::AppendScalar<float>(&entry, 1.0f);
+    writer.AddSection(7, entry);
+    std::ostringstream os(std::ios::binary);
+    EXPECT_TRUE(writer.WriteTo(os).ok());
+    return os.str();
+  };
+  const std::string good = artifact(0, 1);
+  ASSERT_TRUE(MetagraphVectorIndex::ReadBinaryFrom(AsBytes(good)).ok());
+  EXPECT_FALSE(
+      MetagraphVectorIndex::ReadBinaryFrom(AsBytes(artifact(1, 1))).ok());
+  EXPECT_FALSE(
+      MetagraphVectorIndex::ReadBinaryFrom(AsBytes(artifact(0, 0))).ok());
 }
 
 TEST(CorruptionBattery, TextIndexGarbageIsStructuredError) {

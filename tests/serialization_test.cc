@@ -124,7 +124,7 @@ struct SaveLoadParam {
   const char* name;
   util::ArtifactFormat format;
   BinaryLayout layout;
-  bool use_mmap;     // IndexLoadOptions.use_mmap on restore
+  bool use_mmap;     // ArtifactOptions.use_mmap on restore
   bool expect_mmap;  // restored.index().is_mapped()
 };
 
