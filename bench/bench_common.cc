@@ -20,7 +20,6 @@ bool FullScale() {
 
 namespace {
 int g_bench_threads = -1;  // -1 = not set via flag/API
-int g_bench_shards = -1;   // -1 = not set via flag/API
 
 // Function-local static: no global-construction ordering to worry about.
 struct JsonPathState {
@@ -57,26 +56,6 @@ void SetBenchThreads(unsigned num_threads) {
   g_bench_threads = static_cast<int>(num_threads);
 }
 
-unsigned BenchShards() {
-  if (g_bench_shards >= 0) return static_cast<unsigned>(g_bench_shards);
-  if (const char* env = std::getenv("METAPROX_BENCH_SHARDS")) {
-    unsigned value = 0;
-    if (!util::ParseCount(env, &value)) {
-      std::fprintf(stderr,
-                   "bad METAPROX_BENCH_SHARDS value: %s (expected a "
-                   "non-negative integer)\n",
-                   env);
-      std::exit(2);
-    }
-    return value;
-  }
-  return 0;  // auto
-}
-
-void SetBenchShards(unsigned num_shards) {
-  g_bench_shards = static_cast<int>(num_shards);
-}
-
 const std::string& BenchJsonPath() {
   JsonPathState& state = BenchJsonState();
   if (!state.set) {
@@ -103,13 +82,6 @@ void ParseBenchArgs(int argc, char** argv) {
         std::exit(2);
       }
       SetBenchThreads(value);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      unsigned value = 0;
-      if (!util::ParseCount(arg + 9, &value)) {
-        std::fprintf(stderr, "bad flag: %s (expected --shards=S)\n", arg);
-        std::exit(2);
-      }
-      SetBenchShards(value);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       if (arg[7] == '\0') {
         std::fprintf(stderr, "bad flag: %s (expected --json=PATH)\n", arg);
@@ -224,7 +196,6 @@ Bundle FinishBundle(datagen::Dataset ds, int max_nodes) {
   options.miner.min_support = 5;
   options.miner.max_nodes = max_nodes;
   options.num_threads = BenchThreads();
-  options.num_shards = BenchShards();
   b.engine = std::make_unique<SearchEngine>(b.ds.graph, options);
   b.engine->Mine();
   auto pool = b.ds.graph.NodesOfType(b.ds.user_type);

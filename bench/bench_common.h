@@ -36,13 +36,6 @@ bool FullScale();
 unsigned BenchThreads();
 void SetBenchThreads(unsigned num_threads);
 
-/// Vector-index pair-table shards (EngineOptions::num_shards; 0 = auto).
-/// Resolution order: SetBenchShards() / ParseBenchArgs(--shards=S) >
-/// METAPROX_BENCH_SHARDS env var > 0 (auto). Shard count never changes
-/// any bench result — only commit-phase lock contention.
-unsigned BenchShards();
-void SetBenchShards(unsigned num_shards);
-
 /// Path for the machine-readable JSON report (`BENCH_<name>.json`
 /// convention in CI). Resolution order: SetBenchJsonPath() /
 /// ParseBenchArgs(--json=PATH) > METAPROX_BENCH_JSON env var > "" (write
@@ -50,8 +43,8 @@ void SetBenchShards(unsigned num_shards);
 const std::string& BenchJsonPath();
 void SetBenchJsonPath(std::string path);
 
-/// Parses the shared bench flags (`--threads=N`, `--shards=S`,
-/// `--json=PATH`) from argv. Unknown arguments are left alone; malformed
+/// Parses the shared bench flags (`--threads=N`, `--json=PATH`) from
+/// argv. Unknown arguments are left alone; malformed
 /// known flags exit(2).
 void ParseBenchArgs(int argc, char** argv);
 

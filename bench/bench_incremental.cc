@@ -81,8 +81,7 @@ MetagraphVectorIndex FullRebuild(const Graph& graph,
                                  const Matcher& matcher,
                                  CountTransform transform,
                                  uint64_t embedding_cap) {
-  MetagraphVectorIndex index(mined.size(), graph.num_nodes(), transform,
-                             /*num_shards=*/1);
+  MetagraphVectorIndex index(mined.size(), graph.num_nodes(), transform);
   for (uint32_t i = 0; i < mined.size(); ++i) {
     SymPairCountingSink sink(mined[i].symmetry, embedding_cap);
     matcher.Match(graph, mined[i].graph, &sink);
@@ -119,7 +118,6 @@ int main(int argc, char** argv) {
       options.miner.min_support = 3;
       options.miner.max_nodes = 4;
       options.num_threads = BenchThreads();
-      options.num_shards = BenchShards();
       SearchEngine engine(timeline.base, options);
       engine.Mine();
       engine.MatchAll();
@@ -158,12 +156,13 @@ int main(int argc, char** argv) {
 
         std::printf(
             "%-9s slices=%zu batch %zu: +%zu nodes +%zu edges, "
-            "%zu/%zu affected (%zu delta), refresh %.1f ms vs rebuild "
-            "%.1f ms (%.1fx)\n",
+            "%zu/%zu affected (%zu delta), refresh %.1f ms (match %.1f, "
+            "merge %.1f) vs rebuild %.1f ms (%.1fx)\n",
             c.name.c_str(), slices, i, rstats.appended_nodes,
             rstats.appended_edges, rstats.affected_metagraphs,
             engine.metagraphs().size(), rstats.delta_metagraphs,
-            rstats.total_seconds * 1e3, rebuild_seconds * 1e3,
+            rstats.total_seconds * 1e3, rstats.rematch_seconds * 1e3,
+            rstats.merge_seconds * 1e3, rebuild_seconds * 1e3,
             rstats.total_seconds > 0.0
                 ? rebuild_seconds / rstats.total_seconds
                 : 0.0);
@@ -183,6 +182,7 @@ int main(int argc, char** argv) {
                  static_cast<double>(engine.metagraphs().size()))
             .Num("refresh_s", rstats.total_seconds)
             .Num("rematch_s", rstats.rematch_seconds)
+            .Num("merge_s", rstats.merge_seconds)
             .Num("rebuild_s", rebuild_seconds);
       }
       std::printf("%-9s slices=%zu total: refresh %.1f ms, rebuild %.1f ms\n",

@@ -1,18 +1,16 @@
 // Fully parallel offline pipeline: wall clock and speedup of every offline
 // stage — mining (level-synchronous pattern growth), matching (one
-// match-and-commit task per metagraph into the sharded index) and finalize
-// (shard merge + candidate postings) — vs. the serial baseline on the
-// synthetic Facebook benchmark graph, for 1/2/4/8 worker threads.
-//
-// A second sweep fixes the thread count and varies the index shard count,
-// isolating commit-lock contention.
+// match-and-commit task per metagraph, each committing one run)
+// and finalize (the Seal() merge of the runs into the store plus its
+// candidate postings) — vs. the serial baseline on the synthetic
+// Facebook benchmark graph, for 1/2/4/8 worker threads.
 //
 // Also verifies the determinism contract on every run: whatever the
-// thread/shard count, the serialized index must be byte-identical to the
+// thread count, the serialized index must be byte-identical to the
 // serial build and the mined set must be identical to the serial miner's.
 //
-// Flags/env: --threads/--shards are ignored here (the sweeps set their own
-// counts); METAPROX_BENCH_SCALE=full for paper-sized graphs.
+// Flags/env: --threads is ignored here (the sweep sets its own counts);
+// METAPROX_BENCH_SCALE=full for paper-sized graphs.
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -36,9 +34,8 @@ struct RunResult {
   std::string serialized;
 };
 
-RunResult RunOffline(unsigned threads, unsigned shards) {
+RunResult RunOffline(unsigned threads) {
   SetBenchThreads(threads);
-  SetBenchShards(shards);
   Bundle b = MakeFacebook(5, 450, 1200);  // Mine() runs inside MakeFacebook
   b.engine->MatchAll();
 
@@ -68,13 +65,12 @@ std::string Speedup(double serial, double now) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --threads/--shards are ignored (the sweeps set their own); --json and
+  // --threads is ignored (the sweep sets its own); --json and
   // METAPROX_BENCH_JSON select the machine-readable report.
   ParseBenchArgs(argc, argv);
   std::printf("== parallel offline pipeline: mine + match + finalize ==\n");
   std::printf("hardware concurrency: %zu\n\n", util::ResolveNumThreads(0));
 
-  // ---- thread sweep (auto shards) -----------------------------------------
   const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
   util::TablePrinter threads_table(
       {"threads", "mine (s)", "match (s)", "finalize (s)", "total (s)",
@@ -83,7 +79,7 @@ int main(int argc, char** argv) {
 
   RunResult serial;
   for (unsigned threads : thread_counts) {
-    RunResult r = RunOffline(threads, /*shards=*/0);
+    RunResult r = RunOffline(threads);
     bool identical = true;
     if (threads == 1) {
       serial = r;
@@ -116,39 +112,10 @@ int main(int argc, char** argv) {
   }
   threads_table.Print(std::cout);
 
-  // ---- shard sweep at a fixed thread count --------------------------------
-  const unsigned sweep_threads = 4;
-  std::printf("\nshard sweep at %u threads (serial reference above):\n",
-              sweep_threads);
-  util::TablePrinter shards_table(
-      {"shards", "match (s)", "match speedup", "index identical"});
-  for (unsigned shards : {1u, 4u, 16u, 64u}) {
-    RunResult r = RunOffline(sweep_threads, shards);
-    const bool identical = r.serialized == serial.serialized;
-    shards_table.AddRow({std::to_string(shards), Fmt(r.match),
-                         Speedup(serial.match, r.match),
-                         identical ? "yes" : "NO — BUG"});
-    report.BeginRecord()
-        .Str("sweep", "shards")
-        .Num("threads", sweep_threads)
-        .Num("shards", shards)
-        .Num("match_seconds", r.match)
-        .Num("match_speedup", r.match > 0.0 ? serial.match / r.match : 0.0)
-        .Num("identical", identical ? 1 : 0);
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FATAL: index with %u shards differs from serial\n",
-                   shards);
-      return 1;
-    }
-  }
-  shards_table.Print(std::cout);
   if (!report.WriteIfRequested()) return 1;
 
   std::printf(
-      "\nexpected shape: total speedup monotone up to the core count; with "
-      "1 shard the match column degrades (every commit contends on one "
-      "lock), recovering as shards increase; the \"index identical\" "
-      "column must read yes everywhere.\n");
+      "\nexpected shape: total speedup monotone up to the core count; the "
+      "\"index identical\" column must read yes everywhere.\n");
   return 0;
 }

@@ -13,7 +13,7 @@
 // whatever the batch size and thread count, every query's result must be
 // identical (nodes, bitwise scores, order) to the sequential Query path.
 //
-// Flags/env: --threads/--shards apply to the offline build only (the
+// Flags/env: --threads applies to the offline build only (the
 // online sweep sets its own thread counts); METAPROX_BENCH_SCALE=full for
 // paper-sized graphs.
 #include <algorithm>

@@ -4,10 +4,9 @@
 //
 // Also verifies the determinism contract on every run: whatever the thread
 // count, the serialized index must be byte-identical to the serial build
-// (concurrent commits land in a sharded table whose canonical order is
-// restored at Seal()/Finalize(); see index/metagraph_vectors.h). For the
-// full mine+match+finalize breakdown and the shard sweep, see
-// bench_offline_pipeline.
+// (each concurrent commit writes its own run, and Seal() merges the runs
+// in metagraph order; see index/metagraph_vectors.h). For the full
+// mine+match+finalize breakdown, see bench_offline_pipeline.
 //
 // A second table splits the serial match time of the metagraphs with the
 // most embeddings into its two layers: the matcher alone (CountingSink)

@@ -28,7 +28,7 @@
 // p50/p99 land in the JSON next to the slow-consumer eviction count.
 // `--c10k-only` runs just this section (CI smoke wiring).
 //
-// Flags/env: --threads/--shards apply to the engine (offline build AND
+// Flags/env: --threads applies to the engine (offline build AND
 // the server's scoring pool); --json / METAPROX_BENCH_JSON write the
 // machine-readable report; METAPROX_BENCH_SCALE=full for a longer stream.
 #include <sys/resource.h>

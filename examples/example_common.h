@@ -53,14 +53,12 @@ inline datagen::Dataset MakeDataset(const std::string& kind, uint32_t num,
 
 /// The engine options every example binary uses for these datasets.
 inline EngineOptions MakeEngineOptions(const datagen::Dataset& ds,
-                                       unsigned num_threads,
-                                       size_t num_shards) {
+                                       unsigned num_threads) {
   EngineOptions options;
   options.miner.anchor_type = ds.user_type;
   options.miner.min_support = 4;
   options.miner.max_nodes = 4;
   options.num_threads = num_threads;
-  options.num_shards = num_shards;
   return options;
 }
 

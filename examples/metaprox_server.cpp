@@ -26,8 +26,6 @@
 //   --max-batch=B    max queries ranked per batcher window (default 64)
 //   --threads=N      scoring threads for the batcher (0 = all cores;
 //                    default 1)
-//   --shards=S       index pair-table shards (offline option parity with
-//                    mgps_cli; irrelevant after LoadOffline)
 //   --k=K            default top-k for requests that omit k (default 10)
 //   --max-k=K        per-request k ceiling; larger k is refused with an
 //                    'E' reply (default 1048576)
@@ -87,7 +85,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  metaprox_server [--port=P] [--window-us=W] [--max-batch=B]\n"
-      "                  [--threads=N] [--shards=S] [--k=K] [--max-k=K]\n"
+      "                  [--threads=N] [--k=K] [--max-k=K]\n"
       "                  [--max-conns=C] [--max-pipeline=N]\n"
       "                  [--max-queue-bytes=B] [--max-qps=Q]\n"
       "                  [--deadline-us=D] [--drain-ms=T]\n"
@@ -128,7 +126,6 @@ std::vector<std::string> SplitClasses(const std::string& list) {
 int main(int argc, char** argv) {
   server::ServerOptions server_options;
   unsigned num_threads = 1;
-  size_t num_shards = 0;
   std::string port_file;
   std::string models_dir;
   bool use_mmap = false;
@@ -161,12 +158,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       num_threads = value;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      if (!util::ParseCount(arg + 9, &value)) {
-        std::fprintf(stderr, "bad flag: %s (expected --shards=S)\n", arg);
-        return Usage();
-      }
-      num_shards = value;
     } else if (std::strncmp(arg, "--k=", 4) == 0) {
       if (!util::ParseCount(arg + 4, &value) || value == 0) {
         std::fprintf(stderr, "bad flag: %s (expected --k=K>=1)\n", arg);
@@ -261,7 +252,7 @@ int main(int argc, char** argv) {
                ds.graph.Summary().c_str());
 
   SearchEngine engine(ds.graph,
-                      examples::MakeEngineOptions(ds, num_threads, num_shards));
+                      examples::MakeEngineOptions(ds, num_threads));
   ArtifactOptions artifact_options;
   artifact_options.use_mmap = use_mmap;
   auto status = engine.LoadOffline(prefix, artifact_options);
@@ -324,7 +315,6 @@ int main(int argc, char** argv) {
   if (server_options.admin) {
     MaintainerOptions maintainer_options;
     maintainer_options.num_threads = num_threads;
-    maintainer_options.num_shards = num_shards;
     maintainer = std::make_unique<IndexMaintainer>(engine, maintainer_options);
   }
   server::IndexRegistry index_registry(

@@ -2,11 +2,11 @@
 // including persistence of the offline phase.
 //
 // Usage:
-//   mgps_cli [--threads=N] [--shards=S] generate <facebook|linkedin|citation>
+//   mgps_cli [--threads=N] generate <facebook|linkedin|citation>
 //                                   <num> <seed> <graph.txt>
-//   mgps_cli [--threads=N] [--shards=S] offline  <facebook|linkedin|citation>
+//   mgps_cli [--threads=N] offline  <facebook|linkedin|citation>
 //                                   <num> <seed> <prefix>
-//   mgps_cli [--threads=N] [--shards=S] query    <facebook|linkedin|citation>
+//   mgps_cli [--threads=N] query    <facebook|linkedin|citation>
 //                                   <num> <seed> <prefix> <class>
 //                                   <query-id> [k]
 //   mgps_cli [--threads=N] --query-file=F [--tsv] query
@@ -15,14 +15,13 @@
 //
 // `generate` writes the typed object graph as text. `offline` regenerates
 // the same dataset, runs mine+match (over N offline worker threads; 0 = all
-// cores, default 1; the index's pair-slot table is split into S shards,
-// 0 = auto), and saves <prefix>.metagraphs and <prefix>.index. `query`
+// cores, default 1), and saves <prefix>.metagraphs and <prefix>.index. `query`
 // restores the offline phase, obtains the class model, and prints the
 // top-k answers for one query node — or, with --query-file, ranks every
 // node id listed in F (whitespace-separated) in one
 // IndexSnapshot::BatchQueryMulti call with the one class model (batch
 // results are identical to per-id queries; see core/query_batch.h). The
-// saved index is byte-identical for every --threads and --shards value.
+// saved index is byte-identical for every --threads value.
 //
 // Models are first-class artifacts: --model=PATH loads the saved model at
 // PATH if present and otherwise trains once and saves it there (the
@@ -72,8 +71,6 @@ int Usage() {
       "  --threads=N      offline worker threads (mining + matching) and\n"
       "                   batch-query scoring threads (0 = all cores;\n"
       "                   default 1)\n"
-      "  --shards=S       index pair-table shards (0 = auto; default 0);\n"
-      "                   never changes the saved index bytes\n"
       "  --query-file=F   batch mode for 'query': rank every node id in F\n"
       "                   (whitespace-separated) in one batched call;\n"
       "                   results are identical to per-id queries\n"
@@ -108,7 +105,6 @@ void PrintTsvRow(NodeId query, size_t rank, NodeId node, double score) {
 int main(int argc, char** argv) {
   // Strip flags (anywhere on the line) before the positional arguments.
   unsigned num_threads = 1;
-  size_t num_shards = 0;       // 0 = auto
   std::string query_file;      // non-empty = batch query mode
   std::string model_file;      // non-empty = load-or-train-and-save here
   std::string save_model;      // non-empty = force retrain and save here
@@ -159,14 +155,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       num_threads = value;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      unsigned value = 0;
-      if (!util::ParseCount(argv[i] + 9, &value)) {
-        std::fprintf(stderr,
-                     "--shards must be a non-negative integer (0 = auto)\n");
-        return Usage();
-      }
-      num_shards = value;
     } else {
       positional.push_back(argv[i]);
     }
@@ -197,7 +185,7 @@ int main(int argc, char** argv) {
 
   if (command == "offline") {
     SearchEngine engine(
-        ds.graph, examples::MakeEngineOptions(ds, num_threads, num_shards));
+        ds.graph, examples::MakeEngineOptions(ds, num_threads));
     engine.Mine();
     engine.MatchAll();
     std::printf("mined %zu metagraphs (%.1fs), matched (%.1fs, %u threads)\n",
@@ -279,7 +267,7 @@ int main(int argc, char** argv) {
     }
 
     SearchEngine engine(
-        ds.graph, examples::MakeEngineOptions(ds, num_threads, num_shards));
+        ds.graph, examples::MakeEngineOptions(ds, num_threads));
     ArtifactOptions artifact_options;
     artifact_options.use_mmap = use_mmap;
     auto status = engine.LoadOffline(path, artifact_options);

@@ -23,15 +23,8 @@ void SearchEngine::Mine() {
   metagraphs_ = MineMetagraphs(graph_, options_.miner, &mining_stats_,
                                workers > 1 ? &Pool(workers) : nullptr);
   timings_.mine_seconds = timer.ElapsedSeconds();
-  // Auto shard count: a few shards per worker keeps commit contention
-  // low; a serial build gets 1 (no locks worth splitting). The value
-  // never changes the finalized index bytes.
-  const size_t shards =
-      options_.num_shards != 0
-          ? options_.num_shards
-          : (workers > 1 ? std::min<size_t>(4 * workers, 64) : 1);
   index_ = std::make_shared<MetagraphVectorIndex>(
-      metagraphs_.size(), graph_.num_nodes(), options_.transform, shards);
+      metagraphs_.size(), graph_.num_nodes(), options_.transform);
   snapshot_ = nullptr;  // a new build starts a new snapshot lineage
   match_stats_.assign(metagraphs_.size(), MetagraphMatchStats{});
 }
@@ -97,7 +90,7 @@ void SearchEngine::MatchSubset(std::span<const uint32_t> indices) {
   }
   std::sort(todo.begin(), todo.end());
   todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-  if (todo.empty()) {  // nothing committed: skip the Seal() scan
+  if (todo.empty()) {  // nothing committed: skip the Seal() merge
     timings_.match_seconds += timer.ElapsedSeconds();
     return;
   }
@@ -106,10 +99,11 @@ void SearchEngine::MatchSubset(std::span<const uint32_t> indices) {
   if (workers <= 1 || todo.size() <= 1) {
     for (uint32_t i : todo) CommitMatchTask(i, RunMatchTask(i));
   } else {
-    // Each task matches AND commits on its worker: the sharded index takes
-    // concurrent Commits (per-shard locking), so there is no serial commit
+    // Each task matches AND commits on its worker: a Commit writes only its
+    // metagraph's own run slot, so there is no lock, no serial commit
     // funnel and no backlog of completed-but-uncommitted sinks. Seal()
-    // below erases the (nondeterministic) commit-arrival order.
+    // below merges the runs in metagraph order, whatever order they
+    // arrived in.
     util::ThreadPool& pool = Pool(workers);
     std::vector<std::future<void>> futures;
     futures.reserve(todo.size());
@@ -122,9 +116,10 @@ void SearchEngine::MatchSubset(std::span<const uint32_t> indices) {
     for (auto& f : futures) f.wait();
     for (auto& f : futures) f.get();
   }
-  index_->Seal();
-
   timings_.match_seconds += timer.ElapsedSeconds();
+  util::Stopwatch merge_timer;
+  index_->Seal();
+  timings_.finalize_seconds += merge_timer.ElapsedSeconds();
 }
 
 void SearchEngine::FinalizeIndex() {

@@ -38,14 +38,9 @@ struct EngineOptions {
   /// on-demand matching). 0 = hardware concurrency; 1 = serial, no pool.
   /// The mined set and the built index are bit-identical for any value:
   /// mining is level-synchronous with deterministic deduplication, and
-  /// matching commits into a sharded index whose canonical ordering is
-  /// restored at Seal()/Finalize() (see index/metagraph_vectors.h).
+  /// each metagraph commits a run that Seal()/Finalize() merge in
+  /// metagraph order (see index/metagraph_vectors.h).
   unsigned num_threads = 1;
-  /// Shards of the vector index's build-time pair-slot table. Concurrent
-  /// Commits only contend per shard, so more shards = less lock contention
-  /// during parallel matching. 0 = auto (scales with num_threads). Never
-  /// affects the finalized index bytes.
-  size_t num_shards = 0;
 };
 
 /// Per-metagraph record of the matching task that committed it.
@@ -77,11 +72,11 @@ class SearchEngine {
   /// Idempotent: already-committed metagraphs (and duplicates within
   /// `indices`) are skipped. With options().num_threads != 1 the matching
   /// tasks run on a reusable ThreadPool and each task commits its counts
-  /// straight into the sharded index from its worker thread — no serial
-  /// commit funnel. The batch ends with MetagraphVectorIndex::Seal(),
-  /// which restores canonical (metagraph-index) row order, so the index
-  /// state after every MatchSubset — and the finalized, serialized index —
-  /// is byte-identical for any thread count and any shard count.
+  /// as a run straight from its worker thread — no serial commit funnel.
+  /// The batch ends with MetagraphVectorIndex::Seal(), which merges the
+  /// runs in metagraph order, so the index state after every MatchSubset
+  /// — and the finalized, serialized index — is byte-identical for any
+  /// thread count.
   void MatchSubset(std::span<const uint32_t> indices);
 
   /// Finalizes the index (exactly once; see MetagraphVectorIndex).
@@ -141,7 +136,7 @@ class SearchEngine {
   struct Timings {
     double mine_seconds = 0.0;
     double match_seconds = 0.0;      // includes the workers' Commit() time
-    double finalize_seconds = 0.0;   // shard merge + candidate postings
+    double finalize_seconds = 0.0;   // Seal() merges + Finalize(): the store
   };
   const Timings& timings() const { return timings_; }
 
@@ -166,8 +161,8 @@ class SearchEngine {
   struct MatchTaskResult;
 
   MatchTaskResult RunMatchTask(uint32_t metagraph_index) const;
-  // Thread-safe for distinct metagraph indices: Commit() locks per shard
-  // and each task writes its own match_stats_ element.
+  // Thread-safe for distinct metagraph indices: Commit() writes its own
+  // run slot and each task writes its own match_stats_ element.
   void CommitMatchTask(uint32_t metagraph_index, MatchTaskResult result);
   util::ThreadPool& Pool(size_t num_threads);
 

@@ -177,13 +177,8 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
   auto new_graph =
       std::make_shared<const Graph>(std::move(*new_graph_or));
 
-  const size_t workers = util::ResolveNumThreads(options_.num_threads);
-  const size_t shards =
-      options_.num_shards != 0
-          ? options_.num_shards
-          : (workers > 1 ? std::min<size_t>(4 * workers, 64) : 1);
   MetagraphVectorIndex work =
-      index_->CloneForRefresh(new_graph->num_nodes(), affected, shards);
+      MetagraphVectorIndex::OpenRefresh(index_, new_graph->num_nodes());
 
   util::Stopwatch rematch_timer;
   std::atomic<size_t> delta_refreshed{0};
@@ -225,18 +220,23 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
                                options_.embedding_cap - led.num_embeddings);
       DeltaMatch(*new_graph, mined.graph, new_edges, &sink);
       if (!sink.saturated()) {
-        // lint:allow-unordered-iter — += merges are commutative, so the
-        // ledger ends identical whatever order the sink is walked in.
+        // Only the keys the delta touched change; each is upserted with
+        // its new ledger total, so the store holds what a full re-match
+        // would commit. The += merges are commutative, so the ledger ends
+        // identical whatever order the sink is walked in, and Seal() sorts
+        // the touched keys.
+        util::FlatCountMap<uint64_t> pair_totals;
+        util::FlatCountMap<NodeId> node_totals;
+        // lint:allow-unordered-iter — commutative merge (see above).
         for (const auto& [key, count] : sink.pair_counts()) {
-          led.pair_counts[key] += count;
+          pair_totals[key] = led.pair_counts[key] += count;
         }
         // lint:allow-unordered-iter — same commutative merge.
         for (const auto& [node, count] : sink.node_counts()) {
-          led.node_counts[node] += count;
+          node_totals[node] = led.node_counts[node] += count;
         }
         led.num_embeddings += sink.num_embeddings();
-        work.Commit(i, led.pair_counts, led.node_counts,
-                    mined.symmetry.aut_size());
+        work.Upsert(i, pair_totals, node_totals, mined.symmetry.aut_size());
         delta_refreshed.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -256,9 +256,10 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
     for (auto& f : futures) f.wait();
     for (auto& f : futures) f.get();
   }
-  work.Seal();
-  work.Finalize();
   local.rematch_seconds = rematch_timer.ElapsedSeconds();
+  util::Stopwatch merge_timer;
+  work.Finalize();
+  local.merge_seconds = merge_timer.ElapsedSeconds();
   local.delta_metagraphs = delta_refreshed.load(std::memory_order_relaxed);
 
   auto new_index =

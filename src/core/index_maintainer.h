@@ -10,23 +10,25 @@
 //      instances through a new edge, and an instance of M_i can use a new
 //      edge only if some edge of M_i has the same unordered endpoint-type
 //      pair — every other metagraph's counts are provably unchanged,
-//   3. seeds a fresh build-state index with the unaffected rows
-//      (MetagraphVectorIndex::CloneForRefresh), refreshes ONLY the
-//      affected metagraphs against the grown graph, and commits them into
-//      the sharded index concurrently (the one place the
-//      one-commit-per-metagraph contract relaxes),
+//   3. opens a build over the published index for the grown graph
+//      (MetagraphVectorIndex::OpenRefresh — nothing is copied), refreshes
+//      ONLY the affected metagraphs against the grown graph, each
+//      committing its run into its own slot concurrently, and merges the
+//      runs into the old rows in one linear pass (Finalize),
 //   4. publishes the result as a new IndexSnapshot generation.
 //
 // Step 3 is incremental: the maintainer keeps a per-metagraph
 // LEDGER of raw (pre-|Aut|-division) counts, and an affected metagraph
 // with a valid ledger is refreshed by delta-rooted enumeration
 // (matching/delta_match.h) — only the embeddings using at least one
-// appended edge are enumerated, and the merged raw counts
-// (old + delta, plain uint64 addition) are committed. Cost scales with
-// the delta, not the graph. A metagraph without a valid ledger (first
+// appended edge are enumerated, their counts are added onto the ledger
+// (plain uint64 addition), and only the keys they touched are upserted
+// into the index. Cost scales with the delta, plus one pass over the
+// store. A metagraph without a valid ledger (first
 // refresh after construction, a disconnected/trivial metagraph, or one
 // whose embedding count reached the cap) takes a full re-match, which
-// also captures its ledger for the next refresh.
+// replaces all of its entries and also captures its ledger for the next
+// refresh.
 //
 // The refreshed index — and its serialization — is byte-identical to a
 // from-scratch rebuild that re-matched EVERY committed metagraph against
@@ -71,10 +73,8 @@ struct MaintainerOptions {
   /// Embedding cap per re-matched metagraph (see EngineOptions).
   uint64_t embedding_cap = 3'000'000;
   /// Worker threads for re-matching. 0 = hardware concurrency; 1 = serial.
+  /// Never affects the published index bytes.
   unsigned num_threads = 1;
-  /// Build-time shards of the refreshed index. 0 = auto (scales with
-  /// num_threads). Never affects the published index bytes.
-  size_t num_shards = 0;
 };
 
 /// Counters of one Refresh() call.
@@ -87,7 +87,13 @@ struct RefreshStats {
   /// Of the affected ones, how many were refreshed via the delta-rooted
   /// ledger path (the rest took a full re-match).
   size_t delta_metagraphs = 0;
+  /// Matching only: the delta-rooted and full re-matches of the affected
+  /// metagraphs, each ending with its run committed.
   double rematch_seconds = 0.0;
+  /// The store merge (old rows plus the runs) and the candidate postings.
+  double merge_seconds = 0.0;
+  /// The whole Refresh(): the above plus the affected-set computation,
+  /// applying the delta to the graph and publishing.
   double total_seconds = 0.0;
 };
 

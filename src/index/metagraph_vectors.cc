@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -43,18 +44,70 @@ bool SymPairCountingSink::OnEmbedding(std::span<const NodeId> embedding) {
 
 namespace {
 
-// The one canonical row order: by metagraph index, which is unique within
-// a row, so this is a total order. Seal()/SortRow and WriteRow must agree
-// on it — it is the order the byte-identical-serialization contract
-// compares.
-constexpr auto kRowOrder = [](const std::pair<uint32_t, float>& a,
-                              const std::pair<uint32_t, float>& b) {
-  return a.first < b.first;
-};
+using Entry = std::pair<uint32_t, float>;
+using Edit = MetagraphVectorIndex::Edit;
 
-void SortRow(std::vector<std::pair<uint32_t, float>>& row) {
-  if (!std::is_sorted(row.begin(), row.end(), kRowOrder)) {
-    std::sort(row.begin(), row.end(), kRowOrder);
+// Stable counting sort of the concatenated `runs` by digit(key) in
+// [0, radix): edits with equal digits keep their order in the input.
+template <typename Digit>
+std::vector<Edit> CountingSortBy(
+    size_t radix, Digit digit, const std::vector<std::span<const Edit>>& runs) {
+  std::vector<uint64_t> next(radix + 1, 0);
+  for (const auto run : runs) {
+    for (const Edit& e : run) ++next[digit(e.key) + 1];
+  }
+  for (size_t d = 0; d < radix; ++d) next[d + 1] += next[d];
+  std::vector<Edit> sorted(next[radix]);
+  for (const auto run : runs) {
+    for (const Edit& e : run) sorted[next[digit(e.key)]++] = e;
+  }
+  return sorted;
+}
+
+// One output row: `old` without the entries of dropped metagraphs, with
+// `edits` (this row's key, ascending metagraph) upserted. Both inputs are
+// in metagraph order, so the output is too.
+void MergeRow(std::span<const Entry> old, std::span<const Edit> edits,
+              const std::vector<uint8_t>& drop, std::vector<Entry>* out) {
+  auto edit = edits.begin();
+  for (const Entry& entry : old) {
+    while (edit != edits.end() && edit->metagraph < entry.first) {
+      out->emplace_back(edit->metagraph, edit->value);
+      ++edit;
+    }
+    if (edit != edits.end() && edit->metagraph == entry.first) {
+      out->emplace_back(edit->metagraph, edit->value);
+      ++edit;
+    } else if (drop[entry.first] == 0) {
+      out->push_back(entry);
+    }
+  }
+  for (; edit != edits.end(); ++edit) {
+    out->emplace_back(edit->metagraph, edit->value);
+  }
+}
+
+// The one linear walk behind Seal(), for node rows and pair rows alike:
+// the `num_rows` source rows (keys `row_key(r)` ascending, entries
+// `row(r)`) and the edits (sorted by key, then metagraph) advance
+// together, key by key. Each nonempty output row is appended to `out` and
+// reported as emit(key, out->size()), keys ascending.
+template <typename RowKey, typename Row, typename Emit>
+void MergeRows(size_t num_rows, RowKey row_key, Row row,
+               std::span<const Edit> edits, const std::vector<uint8_t>& drop,
+               std::vector<Entry>* out, Emit emit) {
+  size_t r = 0, e = 0;
+  while (r < num_rows || e < edits.size()) {
+    uint64_t key = e < edits.size() ? edits[e].key
+                                    : std::numeric_limits<uint64_t>::max();
+    if (r < num_rows) key = std::min<uint64_t>(key, row_key(r));
+    const size_t first = e;
+    while (e < edits.size() && edits[e].key == key) ++e;
+    std::span<const Entry> old;
+    if (r < num_rows && row_key(r) == key) old = row(r++);
+    const size_t begin = out->size();
+    MergeRow(old, edits.subspan(first, e - first), drop, out);
+    if (out->size() > begin) emit(key, out->size());
   }
 }
 
@@ -62,162 +115,154 @@ void SortRow(std::vector<std::pair<uint32_t, float>>& row) {
 
 MetagraphVectorIndex::MetagraphVectorIndex(size_t num_metagraphs,
                                            size_t num_graph_nodes,
-                                           CountTransform transform,
-                                           size_t num_shards)
+                                           CountTransform transform)
     : num_metagraphs_(num_metagraphs),
       num_graph_nodes_(num_graph_nodes),
       transform_(transform),
-      num_shards_(std::clamp<size_t>(num_shards, 1, kMaxShards)),
       committed_(num_metagraphs, 0),
-      node_vectors_(num_graph_nodes) {
-  shards_.reserve(num_shards_);
-  node_stripes_.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    node_stripes_.push_back(std::make_unique<NodeStripe>());
-  }
+      runs_(num_metagraphs),
+      node_offsets_(num_graph_nodes + 1, 0),
+      pair_offsets_(1, 0),
+      cand_offsets_(num_graph_nodes + 1, 0) {}
+
+MetagraphVectorIndex MetagraphVectorIndex::OpenRefresh(
+    std::shared_ptr<const MetagraphVectorIndex> base,
+    size_t new_num_graph_nodes) {
+  MX_CHECK_MSG(base != nullptr && base->finalized(),
+               "OpenRefresh() requires a finalized base index");
+  MX_CHECK_MSG(new_num_graph_nodes >= base->num_graph_nodes(),
+               "the refresh path only grows graphs");
+  MetagraphVectorIndex build(base->num_metagraphs(), new_num_graph_nodes,
+                             base->transform());
+  build.committed_ = base->committed_;
+  build.base_ = std::move(base);
+  return build;
 }
 
 void MetagraphVectorIndex::Commit(uint32_t metagraph_index,
                                   const SymPairCountingSink& sink,
                                   size_t aut_size) {
-  Commit(metagraph_index, sink.pair_counts(), sink.node_counts(), aut_size);
+  AddRun(metagraph_index, sink.pair_counts(), sink.node_counts(), aut_size,
+         RunKind::kReplace);
 }
 
-void MetagraphVectorIndex::Commit(
+void MetagraphVectorIndex::Upsert(
+    uint32_t metagraph_index, const util::FlatCountMap<uint64_t>& pair_totals,
+    const util::FlatCountMap<NodeId>& node_totals, size_t aut_size) {
+  AddRun(metagraph_index, pair_totals, node_totals, aut_size,
+         RunKind::kUpsert);
+}
+
+void MetagraphVectorIndex::AddRun(
     uint32_t metagraph_index, const util::FlatCountMap<uint64_t>& pair_counts,
-    const util::FlatCountMap<NodeId>& node_counts, size_t aut_size) {
-  MX_CHECK(metagraph_index < num_metagraphs_);
-  MX_CHECK_MSG(committed_[metagraph_index] == 0, "metagraph committed twice");
-  MX_CHECK(aut_size > 0);
+    const util::FlatCountMap<NodeId>& node_counts, size_t aut_size,
+    RunKind kind) {
   MX_CHECK_MSG(!finalized_, "Commit() after Finalize()");
-  committed_[metagraph_index] = 1;
-
+  MX_CHECK(metagraph_index < num_metagraphs_);
+  Run& run = runs_[metagraph_index];
+  MX_CHECK_MSG(run.kind == RunKind::kNone, "metagraph committed twice");
+  MX_CHECK(aut_size > 0);
   const double inv_aut = 1.0 / static_cast<double>(aut_size);
-
-  // Bucket the sink's counts by destination shard/stripe first, so each
-  // shard mutex is taken once per commit instead of once per entry.
-  std::vector<std::vector<std::pair<uint64_t, float>>> pair_buckets(
-      num_shards_);
-  // lint:allow-unordered-iter — each key appears once per commit, so row
-  // contents are order-independent; entry order is erased at Seal/Finalize.
+  run.pairs.reserve(pair_counts.size());
+  // lint:allow-unordered-iter — each key appears once, and Seal() sorts
+  // the edits by key.
   for (const auto& [key, count] : pair_counts) {
-    pair_buckets[ShardOf(key)].emplace_back(
-        key, static_cast<float>(count * inv_aut));
+    MX_CHECK((key & 0xffffffffu) < num_graph_nodes_);
+    run.pairs.push_back(
+        {key, metagraph_index, static_cast<float>(count * inv_aut)});
   }
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (pair_buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    mx::MutexLock lock(shard.mu);
-    for (const auto& [key, value] : pair_buckets[s]) {
-      shard.pairs[key].emplace_back(metagraph_index, value);
-      shard.dirty.push_back(key);
-    }
-  }
-
-  std::vector<std::vector<std::pair<NodeId, float>>> node_buckets(num_shards_);
+  run.nodes.reserve(node_counts.size());
   // lint:allow-unordered-iter — same argument as the pair loop above.
   for (const auto& [node, count] : node_counts) {
-    MX_CHECK(node < node_vectors_.size());
-    node_buckets[node % num_shards_].emplace_back(
-        node, static_cast<float>(count * inv_aut));
+    MX_CHECK(node < num_graph_nodes_);
+    run.nodes.push_back(
+        {node, metagraph_index, static_cast<float>(count * inv_aut)});
   }
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (node_buckets[s].empty()) continue;
-    NodeStripe& stripe = *node_stripes_[s];
-    mx::MutexLock lock(stripe.mu);
-    for (const auto& [node, value] : node_buckets[s]) {
-      node_vectors_[node].emplace_back(metagraph_index, value);
-      stripe.dirty.push_back(node);
-    }
-  }
+  run.kind = kind;
+  committed_[metagraph_index] = 1;
 }
 
 void MetagraphVectorIndex::Seal() {
-  if (finalized_) return;  // finalized rows are already sorted
-  // Only rows touched since the last Seal(). The dirty lists carry one
-  // entry per (row, metagraph) append, so dedupe first — a hub row
-  // touched by m metagraphs would otherwise be re-scanned m times. Seal
-  // runs with no concurrent Commits (see the class comment), so each
-  // shard/stripe lock is uncontended — taken once per shard on this cold
-  // path purely to keep the guarded accesses inside the contract the
-  // annotations state.
-  auto dedupe = [](auto& dirty) {
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  };
-  for (const auto& shard : shards_) {
-    mx::MutexLock lock(shard->mu);
-    dedupe(shard->dirty);
-    for (uint64_t key : shard->dirty) SortRow(shard->pairs[key]);
-    shard->dirty.clear();
+  if (finalized_) return;
+  // The pending runs, in metagraph order.
+  std::vector<std::span<const Edit>> pair_runs, node_runs;
+  std::vector<uint8_t> drop(num_metagraphs_, 0);
+  for (uint32_t i = 0; i < num_metagraphs_; ++i) {
+    const Run& run = runs_[i];
+    if (run.kind != RunKind::kReplace && run.kind != RunKind::kUpsert) {
+      continue;
+    }
+    pair_runs.push_back(run.pairs);
+    node_runs.push_back(run.nodes);
+    drop[i] = run.kind == RunKind::kReplace;
   }
-  for (const auto& stripe : node_stripes_) {
-    mx::MutexLock lock(stripe->mu);
-    dedupe(stripe->dirty);
-    for (NodeId node : stripe->dirty) SortRow(node_vectors_[node]);
-    stripe->dirty.clear();
+  if (pair_runs.empty() && base_ == nullptr) return;
+
+  // The edits sorted by key, then metagraph: stable counting sorts over
+  // node ids (a pair key's y, then its x) keep each key's edits in the
+  // metagraph order of the runs.
+  const size_t n = num_graph_nodes_;
+  const std::vector<Edit> node_edits =
+      CountingSortBy(n, [](uint64_t key) { return key; }, node_runs);
+  std::vector<Edit> by_y = CountingSortBy(
+      n, [](uint64_t key) { return key & 0xffffffffu; }, pair_runs);
+  for (Run& run : runs_) {
+    if (run.kind == RunKind::kReplace || run.kind == RunKind::kUpsert) {
+      run = Run{RunKind::kSealed, {}, {}};
+    }
   }
+  const std::vector<Edit> pair_edits =
+      CountingSortBy(n, [](uint64_t key) { return key >> 32; }, {by_y});
+  std::vector<Edit>().swap(by_y);
+
+  // The source rows: the refresh base on the first Seal(), else the
+  // current store. The merge writes into fresh vectors, so reading the
+  // current store while it runs is safe.
+  const MetagraphVectorIndex& src = base_ != nullptr ? *base_ : *this;
+
+  std::vector<Entry> node_entries;
+  node_entries.reserve(src.node_entries_.size() + node_edits.size());
+  std::vector<uint64_t> node_offsets(n + 1, 0);
+  MergeRows(
+      src.num_graph_nodes(), [](size_t r) { return r; },
+      [&src](size_t r) { return src.NodeRow(static_cast<NodeId>(r)); },
+      node_edits, drop, &node_entries,
+      [&node_offsets](uint64_t x, size_t end) { node_offsets[x + 1] = end; });
+  // Rows left empty keep the previous row's end.
+  for (size_t x = 1; x <= n; ++x) {
+    node_offsets[x] = std::max(node_offsets[x], node_offsets[x - 1]);
+  }
+
+  std::vector<Entry> pair_entries;
+  pair_entries.reserve(src.pair_entries_.size() + pair_edits.size());
+  std::vector<uint64_t> pair_keys;
+  pair_keys.reserve(src.pair_keys_.size() + pair_edits.size());
+  std::vector<uint64_t> pair_offsets(1, 0);
+  pair_offsets.reserve(src.pair_keys_.size() + pair_edits.size() + 1);
+  MergeRows(
+      src.pair_keys_.size(), [&src](size_t r) { return src.pair_keys_[r]; },
+      [&src](size_t r) { return src.PairRow(static_cast<uint32_t>(r)); },
+      pair_edits, drop, &pair_entries,
+      [&pair_keys, &pair_offsets](uint64_t key, size_t end) {
+        pair_keys.push_back(key);
+        pair_offsets.push_back(end);
+      });
+
+  base_ = nullptr;
+  mapping_ = nullptr;
+  owned_node_entries_ = std::move(node_entries);
+  owned_pair_entries_ = std::move(pair_entries);
+  node_offsets_ = std::move(node_offsets);
+  pair_keys_ = std::move(pair_keys);
+  pair_offsets_ = std::move(pair_offsets);
+  AdoptEntries(owned_node_entries_, owned_pair_entries_);
 }
 
 void MetagraphVectorIndex::Finalize() {
   MX_CHECK_MSG(!finalized_, "Finalize() called twice");
-  // Full sweep, not Seal(): one-time O(index) cost that also covers rows
-  // that never went through Commit (CloneForRefresh's seed). Each shard
-  // is drained under its (uncontended — Finalize runs with no concurrent
-  // Commits) lock into one flat list, which is then packed into the store
-  // in globally sorted key order. The order is a pure function of the
-  // committed keys, so the store is independent of the shard count and
-  // of commit interleaving.
-  std::vector<std::pair<uint64_t, SparseVec>> drained;
-  {
-    size_t total = 0;
-    for (const auto& shard : shards_) {
-      mx::MutexLock lock(shard->mu);
-      total += shard->pairs.size();
-    }
-    drained.reserve(total);
-  }
-  for (const auto& shard : shards_) {
-    mx::MutexLock lock(shard->mu);
-    // lint:allow-unordered-iter — drain order is erased by the sort below.
-    for (auto& [key, row] : shard->pairs) {
-      SortRow(row);
-      drained.emplace_back(key, std::move(row));
-    }
-    shard->pairs.clear();
-    shard->dirty.clear();
-  }
-  std::sort(drained.begin(), drained.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Pack the rows into the store, freeing each one as it lands.
-  auto pack = [](SparseVec& row, std::vector<Entry>* entries,
-                 std::vector<uint64_t>* offsets) {
-    SortRow(row);
-    entries->insert(entries->end(), row.begin(), row.end());
-    offsets->push_back(entries->size());
-    SparseVec().swap(row);
-  };
-  size_t total = 0;
-  for (const SparseVec& row : node_vectors_) total += row.size();
-  owned_node_entries_.reserve(total);
-  node_offsets_.reserve(num_graph_nodes_ + 1);
-  node_offsets_.push_back(0);
-  for (SparseVec& row : node_vectors_) {
-    pack(row, &owned_node_entries_, &node_offsets_);
-  }
-  total = 0;
-  for (const auto& [key, row] : drained) total += row.size();
-  owned_pair_entries_.reserve(total);
-  pair_keys_.reserve(drained.size());
-  pair_offsets_.reserve(drained.size() + 1);
-  pair_offsets_.push_back(0);
-  for (auto& [key, row] : drained) {
-    pair_keys_.push_back(key);
-    pack(row, &owned_pair_entries_, &pair_offsets_);
-  }
-  AdoptEntries(owned_node_entries_, owned_pair_entries_);
+  Seal();
+  runs_ = {};
+  finalized_ = true;
 }
 
 util::Status MetagraphVectorIndex::CheckRows(
@@ -238,13 +283,9 @@ util::Status MetagraphVectorIndex::CheckRows(
 
 void MetagraphVectorIndex::AdoptEntries(std::span<const Entry> node_entries,
                                         std::span<const Entry> pair_entries) {
-  node_vectors_ = {};
-  shards_.clear();
-  node_stripes_.clear();
   node_entries_ = node_entries;
   pair_entries_ = pair_entries;
   BuildPostings();
-  finalized_ = true;
 }
 
 void MetagraphVectorIndex::BuildPostings() {
@@ -276,61 +317,6 @@ void MetagraphVectorIndex::BuildPostings() {
   }
 }
 
-MetagraphVectorIndex MetagraphVectorIndex::CloneForRefresh(
-    size_t new_num_graph_nodes, std::span<const uint32_t> rematch,
-    size_t num_shards) const {
-  MX_CHECK_MSG(finalized_, "CloneForRefresh() requires a finalized index");
-  MX_CHECK_MSG(new_num_graph_nodes >= num_graph_nodes(),
-               "the refresh path only grows graphs");
-
-  std::vector<uint8_t> drop(num_metagraphs_, 0);
-  for (uint32_t i : rematch) {
-    MX_CHECK(i < num_metagraphs_);
-    drop[i] = 1;
-  }
-
-  MetagraphVectorIndex out(num_metagraphs_, new_num_graph_nodes, transform_,
-                           num_shards);
-  out.committed_ = committed_;
-  for (uint32_t i : rematch) out.committed_[i] = 0;
-
-  // Seed the surviving entries. Rows (and pair slots) left empty by the
-  // filter are dropped — a from-scratch rebuild would never create them.
-  // NodeRow/PairRow serve owned and mapped indexes alike, and the source
-  // rows are already in canonical (ascending metagraph) order, so the
-  // seeded rows need no Seal of their own.
-  SparseVec filtered;
-  const size_t old_nodes = num_graph_nodes();
-  for (NodeId x = 0; x < old_nodes; ++x) {
-    filtered.clear();
-    for (const auto& entry : NodeRow(x)) {
-      if (!drop[entry.first]) filtered.push_back(entry);
-    }
-    if (!filtered.empty()) out.node_vectors_[x] = filtered;
-  }
-  for (uint32_t slot = 0; slot < pair_keys_.size(); ++slot) {
-    filtered.clear();
-    for (const auto& entry : PairRow(slot)) {
-      if (!drop[entry.first]) filtered.push_back(entry);
-    }
-    if (filtered.empty()) continue;
-    Shard& shard = *out.shards_[out.ShardOf(pair_keys_[slot])];
-    mx::MutexLock lock(shard.mu);
-    shard.pairs.emplace(pair_keys_[slot], filtered);
-  }
-  return out;
-}
-
-size_t MetagraphVectorIndex::num_pairs() const {
-  if (finalized_) return pair_keys_.size();
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    mx::MutexLock lock(shard->mu);
-    total += shard->pairs.size();
-  }
-  return total;
-}
-
 double MetagraphVectorIndex::Transform(double raw) const {
   switch (transform_) {
     case CountTransform::kRaw:
@@ -343,42 +329,10 @@ double MetagraphVectorIndex::Transform(double raw) const {
 
 std::span<const std::pair<uint32_t, float>> MetagraphVectorIndex::FindPairRow(
     NodeId x, NodeId y) const {
-  if (!finalized_) return ProbeShardRowUnlocked(PairKey(x, y));
   const std::span<const NodeId> candidates = Candidates(x);
   const auto it = std::lower_bound(candidates.begin(), candidates.end(), y);
   if (it == candidates.end() || *it != y) return {};
   return PairRow(CandidateSlots(x)[it - candidates.begin()]);
-}
-
-std::vector<std::pair<uint64_t, std::span<const std::pair<uint32_t, float>>>>
-MetagraphVectorIndex::SortedPairRows() const {
-  std::vector<std::pair<uint64_t, std::span<const Entry>>> rows;
-  rows.reserve(num_pairs());
-  if (finalized_) {
-    for (uint32_t slot = 0; slot < pair_keys_.size(); ++slot) {
-      rows.emplace_back(pair_keys_[slot], PairRow(slot));
-    }
-    return rows;
-  }
-  for (const auto& shard : shards_) {
-    mx::MutexLock lock(shard->mu);
-    // lint:allow-unordered-iter — collection order is erased by the sort.
-    for (const auto& [key, row] : shard->pairs) rows.emplace_back(key, row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return rows;
-}
-
-// Unlocked by design — the justification lives on the declaration.
-std::span<const std::pair<uint32_t, float>>
-MetagraphVectorIndex::ProbeShardRowUnlocked(uint64_t key) const {
-  // Pre-Finalize read: consult the owning shard. Callers must not race
-  // this with a commit batch (see the class comment).
-  const Shard& shard = *shards_[ShardOf(key)];
-  auto it = shard.pairs.find(key);
-  if (it == shard.pairs.end()) return {};
-  return it->second;
 }
 
 kernels::RowTransform MetagraphVectorIndex::row_transform() const {
@@ -424,14 +378,11 @@ void MetagraphVectorIndex::SparsePairVector(
 }
 
 std::span<const NodeId> MetagraphVectorIndex::Candidates(NodeId x) const {
-  MX_CHECK_MSG(finalized_, "Finalize() must be called before Candidates()");
   return {candidates_.data() + cand_offsets_[x],
           candidates_.data() + cand_offsets_[x + 1]};
 }
 
 std::span<const uint32_t> MetagraphVectorIndex::CandidateSlots(NodeId x) const {
-  MX_CHECK_MSG(finalized_,
-               "Finalize() must be called before CandidateSlots()");
   return {cand_slots_.data() + cand_offsets_[x],
           cand_slots_.data() + cand_offsets_[x + 1]};
 }
@@ -455,21 +406,10 @@ void WriteCount(std::ostream& os, float c) {
   os << buf;
 }
 
-// Writes one sparse row in the canonical kRowOrder; sorts a copy first if
-// the caller skipped Seal(), so the serialization is deterministic no
-// matter what.
+// Writes one sparse row; rows are stored in metagraph order.
 void WriteRow(std::ostream& os,
               std::span<const std::pair<uint32_t, float>> row) {
-  if (std::is_sorted(row.begin(), row.end(), kRowOrder)) {
-    for (const auto& [i, c] : row) {
-      os << ' ' << i << ' ';
-      WriteCount(os, c);
-    }
-    return;
-  }
-  std::vector<std::pair<uint32_t, float>> sorted(row.begin(), row.end());
-  std::sort(sorted.begin(), sorted.end(), kRowOrder);
-  for (const auto& [i, c] : sorted) {
+  for (const auto& [i, c] : row) {
     os << ' ' << i << ' ';
     WriteCount(os, c);
   }
@@ -496,11 +436,11 @@ util::Status MetagraphVectorIndex::WriteTo(std::ostream& os) const {
     WriteRow(os, vec);
     os << '\n';
   }
-  // Pairs in sorted key order: byte-identical for any thread/shard count.
-  const auto pair_rows = SortedPairRows();
-  os << "pairs " << pair_rows.size() << '\n';
-  for (const auto& [key, row] : pair_rows) {
-    os << key << ' ' << row.size();
+  // Pairs in sorted key order: byte-identical for any thread count.
+  os << "pairs " << pair_keys_.size() << '\n';
+  for (uint32_t slot = 0; slot < pair_keys_.size(); ++slot) {
+    const auto row = PairRow(slot);
+    os << pair_keys_[slot] << ' ' << row.size();
     WriteRow(os, row);
     os << '\n';
   }
@@ -592,7 +532,6 @@ util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadTextFrom(
   if (!is || word != "pairs") {
     return util::Status::InvalidArgument("missing pairs section");
   }
-  index.pair_offsets_.push_back(0);
   for (size_t n = 0; n < count; ++n) {
     uint64_t key = 0;
     size_t row_len = 0;
@@ -618,6 +557,7 @@ util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::ReadTextFrom(
   MX_RETURN_IF_ERROR(index.CheckRows(index.owned_pair_entries_,
                                      index.pair_offsets_, "pair"));
   index.AdoptEntries(node_entries, index.owned_pair_entries_);
+  index.Finalize();
   return index;
 }
 

@@ -16,34 +16,41 @@
 //
 // Build lifecycle and thread-safety (see also docs/ARCHITECTURE.md):
 //
-//   MetagraphVectorIndex index(|M|, |V|, transform, num_shards);
+//   MetagraphVectorIndex index(|M|, |V|, transform);
 //   index.Commit(i, sink_i, aut_i);   // any thread, any order, once per i
 //   index.Seal();                     // one thread, after a commit batch
-//   ... read accessors (NodeDot, PairDot, Sparse*/Dense*, WriteTo) ...
+//   ... read accessors (NodeDot, PairDot, Candidates, WriteTo, ...) ...
 //   index.Commit(j, ...); index.Seal();   // more batches are fine
-//   index.Finalize();                 // exactly once; enables Candidates()
+//   index.Finalize();                 // exactly once; forbids commits
 //
-// While the index is building, the pair-slot table is split into
-// `num_shards` shards by `PairKey % num_shards` and the per-node rows are
-// guarded by striped locks, so Commit() is safe to call concurrently from
-// many threads — each commit only locks the shards/stripes it touches.
-// Seal() then sorts every touched row by metagraph index, which makes the
-// observable state deterministic: after Seal(), the index contents depend
-// only on WHICH (metagraph, sink) pairs were committed, not on the order or
-// interleaving of the Commit() calls, nor on the shard count.
+// Commit() turns one metagraph's counts into a RUN of (key, metagraph,
+// value) entries and parks it in that metagraph's own slot. Slots are
+// disjoint, so Commit() takes no lock and is safe to call concurrently
+// for distinct metagraphs. Seal() sorts the pending runs' entries by key
+// with stable counting sorts over node ids, taking the runs in metagraph
+// order, merges them with the current rows in one linear walk and
+// rebuilds the candidate postings. Every row comes out in metagraph
+// order, so the store is a pure function of WHICH runs were committed:
+// the same bytes for any number of committing threads and any commit
+// interleaving.
+// Reads see the last sealed store; a sealed store is read exactly like a
+// finalized one. Finalize() seals what is pending and drops the build
+// state. Committing after Finalize(), finalizing twice or committing one
+// metagraph twice in one build aborts (MX_CHECK).
 //
-// Finalize() packs the shards' rows in globally sorted PairKey order into
-// one CSR store and builds the candidate postings. Because the order is a
-// pure function of the keys, the finalized index — including its WriteTo()
-// serialization — is byte-identical for ANY number of committing threads
-// and ANY num_shards. Finalize() must be called exactly once; committing
-// after Finalize() or finalizing twice aborts (MX_CHECK).
+// A refresh is the same merge over an older store: OpenRefresh() starts a
+// build over a finalized (owned or mapped) base index for a grown graph,
+// without copying it. A re-matched metagraph Commit()s a run that REPLACES
+// all of its base entries; a metagraph refreshed from its delta Upsert()s
+// only the keys the delta touched. The first Seal() walks the base rows
+// once, minus the replaced metagraphs' entries, merged with the runs;
+// rows left empty are dropped.
 //
 // A finalized index is one CSR store however it was made: row offsets
 // plus node and pair entry spans. The spans point into owned storage
-// (Finalize, the text reader, ReadBinaryFrom) or into a pinned read-only
-// mapping of an aligned artifact (MapFromFile); the row accessors do not
-// tell the two apart.
+// (the Seal() merge, the text reader, ReadBinaryFrom) or into a pinned
+// read-only mapping of an aligned artifact (MapFromFile); the row
+// accessors do not tell the two apart.
 //
 // Read accessors are safe from multiple threads as long as no Commit /
 // Seal / Finalize runs concurrently; they must not race a commit batch.
@@ -65,7 +72,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,7 +83,6 @@
 #include "util/macros.h"
 #include "util/mmap_file.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace metaprox::kernels {
 // From core/score_kernels.h (a dependency-free leaf this layer's .cc
@@ -131,12 +136,6 @@ struct ArtifactOptions {
   bool use_mmap = false;
 };
 
-/// Upper bound on build-time pair-table shards, applied by the index
-/// constructor. Guards against nonsense requests (e.g. a huge --shards
-/// value) allocating one mutex + hash map per shard until the process
-/// dies; contention is flat long before this (cf. util::kMaxThreads).
-inline constexpr size_t kMaxShards = 4096;
-
 /// Accumulates the per-embedding contributions of one metagraph's matching
 /// run (to be committed into MetagraphVectorIndex afterwards). One sink is
 /// private to one matching task; it is not shared across threads.
@@ -172,70 +171,63 @@ class SymPairCountingSink : public InstanceSink {
 /// thread-safety / determinism contract.
 class MetagraphVectorIndex {
  public:
-  /// `num_shards` splits the build-time pair-slot table; it bounds commit
-  /// contention but never changes the finalized index (clamped to
-  /// [1, kMaxShards]).
+  /// An empty build: no metagraph committed, every row empty.
   MetagraphVectorIndex(size_t num_metagraphs, size_t num_graph_nodes,
-                       CountTransform transform = CountTransform::kLog1p,
-                       size_t num_shards = 1);
+                       CountTransform transform = CountTransform::kLog1p);
 
-  /// Commits one metagraph's accumulated counts, dividing by aut_size.
-  /// Thread-safe: concurrent Commits of DIFFERENT metagraphs only contend
-  /// on the pair shards / node stripes they touch. Each metagraph must be
-  /// committed at most once, and never after Finalize() (aborts).
+  /// Commits one metagraph's accumulated counts, dividing by aut_size:
+  /// its run replaces every entry the metagraph has in the store (none,
+  /// outside a refresh). Thread-safe for distinct metagraphs. Each
+  /// metagraph is committed at most once per build, and never after
+  /// Finalize() (aborts).
   void Commit(uint32_t metagraph_index, const SymPairCountingSink& sink,
               size_t aut_size);
 
-  /// Raw-count overload of Commit(): same contract, but the counts arrive
-  /// as the maps a sink would hold rather than as a sink. This is the
-  /// incremental-refresh entry point — the maintainer merges a ledger of
-  /// old raw counts with a delta run's counts (plain uint64 addition) and
-  /// commits the sum, which makes the committed float rows bitwise-equal
-  /// to a from-scratch re-match delivering the same totals.
-  void Commit(uint32_t metagraph_index,
-              const util::FlatCountMap<uint64_t>& pair_counts,
-              const util::FlatCountMap<NodeId>& node_counts, size_t aut_size);
+  /// The delta-path commit of a refresh: upserts only the given keys of
+  /// the metagraph, each to float(total / aut_size); its other entries
+  /// keep their stored values. The maintainer passes the ledger's new
+  /// raw totals of the keys its delta run touched, so every entry is
+  /// bitwise-equal to what a from-scratch re-match delivering the same
+  /// totals commits. Same contract as Commit() otherwise.
+  void Upsert(uint32_t metagraph_index,
+              const util::FlatCountMap<uint64_t>& pair_totals,
+              const util::FlatCountMap<NodeId>& node_totals, size_t aut_size);
 
-  /// Sorts every pair/node row touched since the last Seal() by metagraph
-  /// index. Call from ONE thread after a batch of (possibly concurrent)
-  /// Commits has completed, before reading the index; it erases any trace
-  /// of commit-arrival order. Cost is proportional to the batch's rows,
-  /// not the whole index, so frequent small batches (dual-stage rounds)
-  /// stay cheap.
+  /// Merges the runs committed since the last Seal() (and, on the first
+  /// Seal() of a refresh, the base rows) into the store and rebuilds the
+  /// candidate postings. Call from ONE thread after a batch of (possibly
+  /// concurrent) Commits has completed, before reading the index. Costs
+  /// one pass over the store plus the pending runs; a no-op when nothing
+  /// is pending.
   void Seal();
 
-  /// Merges the shards in globally sorted PairKey order and builds the
-  /// per-node candidate postings. Call exactly once, after all Commits;
-  /// a second Finalize() — or any later Commit() — aborts.
+  /// Seals what is pending and ends the build: later Commit()s and a
+  /// second Finalize() abort.
   void Finalize();
 
-  /// The incremental-refresh seed: a fresh BUILD-state index over
-  /// `new_num_graph_nodes` (>= the current node count) carrying every row
-  /// entry of this finalized (owned or mapped) index EXCEPT those of the
-  /// metagraphs in `rematch`, which return to uncommitted so they can be
-  /// Commit()ed again against the grown graph. Rows left empty by the
-  /// filter are dropped entirely, so after the re-matched metagraphs are
-  /// committed and the clone is Sealed + Finalized its contents — and its
-  /// serialization — are byte-identical to a from-scratch rebuild that
-  /// committed every metagraph against the new graph (unaffected
-  /// metagraphs gain no instances from appended nodes/edges, so their old
-  /// rows are exactly what a rebuild recomputes). This is the one place
-  /// the one-commit-per-metagraph contract relaxes: a metagraph may be
-  /// re-committed, but only through a clone that first dropped its rows.
-  MetagraphVectorIndex CloneForRefresh(size_t new_num_graph_nodes,
-                                       std::span<const uint32_t> rematch,
-                                       size_t num_shards) const;
+  /// Opens a refresh build over the finalized (owned or mapped) `base`
+  /// for the graph grown to `new_num_graph_nodes` (>= the base's). The
+  /// build starts with the base's committed set; any metagraph may be
+  /// committed (replacing its entries) or upserted once. Nothing is
+  /// copied here: the first Seal() merges the base rows with the runs,
+  /// and until then the build reads as empty. Unaffected metagraphs gain
+  /// no instances from appended nodes/edges, so after the re-matched
+  /// metagraphs are committed and the build is finalized its contents —
+  /// and its serialization — are byte-identical to a from-scratch rebuild
+  /// that committed every metagraph against the new graph.
+  static MetagraphVectorIndex OpenRefresh(
+      std::shared_ptr<const MetagraphVectorIndex> base,
+      size_t new_num_graph_nodes);
 
   size_t num_metagraphs() const { return num_metagraphs_; }
   size_t num_graph_nodes() const { return num_graph_nodes_; }
-  size_t num_shards() const { return num_shards_; }
   CountTransform transform() const { return transform_; }
   bool finalized() const { return finalized_; }
   /// True when the row entries are served zero-copy from a mapped artifact
   /// (MapFromFile). A mapped index is always finalized.
   bool is_mapped() const { return mapping_ != nullptr; }
-  /// Number of distinct (x, y) pair slots committed so far.
-  size_t num_pairs() const;
+  /// Number of distinct (x, y) pair slots in the sealed store.
+  size_t num_pairs() const { return pair_keys_.size(); }
   bool IsCommitted(uint32_t metagraph_index) const {
     return committed_[metagraph_index] != 0;
   }
@@ -269,7 +261,7 @@ class MetagraphVectorIndex {
 
   /// Nodes that co-occur with x in at least one instance at symmetric
   /// positions — the online candidate set for query x, in ascending node
-  /// order. Requires Finalize().
+  /// order.
   std::span<const NodeId> Candidates(NodeId x) const;
 
   /// Pair-row slots aligned with Candidates(x): CandidateSlots(x)[i] is the
@@ -278,28 +270,26 @@ class MetagraphVectorIndex {
   /// no per-pair hash probe. The relation is symmetric: y is a candidate of
   /// x exactly when x is one of y, and both entries carry the same slot
   /// (the batch path dots a pair row once for both endpoints on that
-  /// basis). Requires Finalize().
+  /// basis).
   std::span<const uint32_t> CandidateSlots(NodeId x) const;
 
   /// m_xy . w for the pair row in finalized slot `slot` (as returned by
   /// CandidateSlots). Accumulates in the same row order as PairDot(), so the
   /// result is bitwise-equal to PairDot(x, y, w) of the slot's pair.
-  /// Requires Finalize().
   double SlotDot(uint32_t slot, std::span<const double> w) const;
 
   /// Raw sparse rows — (metagraph index, raw count) entries in canonical
   /// order — for callers that evaluate several weight vectors per row
   /// through the multi-weight score kernels (kernels::RowDotMulti with
-  /// transform_kind()). NodeRow(x) is m_x; PairRow(slot) is the finalized
-  /// pair row of `slot` (requires Finalize()). Spans are invalidated by
-  /// Commit/Seal/Finalize, like every other read.
+  /// transform_kind()). NodeRow(x) is m_x; PairRow(slot) is the pair
+  /// row of `slot`. Spans are invalidated by Seal/Finalize, like every
+  /// other read.
   std::span<const std::pair<uint32_t, float>> NodeRow(NodeId x) const {
-    if (!finalized_) return node_vectors_[x];
     return node_entries_.subspan(node_offsets_[x],
                                  node_offsets_[x + 1] - node_offsets_[x]);
   }
   std::span<const std::pair<uint32_t, float>> PairRow(uint32_t slot) const {
-    MX_DCHECK(finalized_ && slot < pair_keys_.size());
+    MX_DCHECK(slot < pair_keys_.size());
     return pair_entries_.subspan(pair_offsets_[slot],
                                  pair_offsets_[slot + 1] - pair_offsets_[slot]);
   }
@@ -309,9 +299,9 @@ class MetagraphVectorIndex {
 
   double Transform(double raw) const;
 
-  /// Serializes the committed vectors (finalized or not) to a text stream.
+  /// Serializes the sealed store (finalized or not) to a text stream.
   /// Pairs are written in sorted PairKey order and rows in metagraph-index
-  /// order, so the output is byte-identical for any thread/shard count.
+  /// order, so the output is byte-identical for any thread count.
   /// Counts are printed with 9 significant digits, which round-trips every
   /// finite float32 exactly — text and binary loads of the same index give
   /// bitwise-identical query results. The postings are rebuilt on load, so
@@ -326,8 +316,8 @@ class MetagraphVectorIndex {
 
   /// Serializes to the v2 binary container (open `os` in binary mode).
   /// Like WriteTo, works finalized or not and is byte-deterministic: the
-  /// same committed contents produce the same bytes for any thread/shard
-  /// count — the property the golden-file test pins.
+  /// same committed contents produce the same bytes for any thread count
+  /// — the property the golden-file test pins.
   util::Status WriteBinaryTo(
       std::ostream& os, BinaryLayout layout = BinaryLayout::kCompact) const;
 
@@ -352,30 +342,33 @@ class MetagraphVectorIndex {
   static util::StatusOr<MetagraphVectorIndex> LoadFromFile(
       const std::string& path, bool use_mmap = false);
 
+ public:
+  /// One committed value on its way into the store: metagraph
+  /// `metagraph`'s entry in the row keyed `key` (a PairKey or a node).
+  struct Edit {
+    uint64_t key;
+    uint32_t metagraph;
+    float value;
+  };
+
  private:
   using Entry = std::pair<uint32_t, float>;
-  using SparseVec = std::vector<Entry>;
 
-  /// One build-time shard of the pair-slot table: the pairs whose PairKey
-  /// satisfies `key % num_shards_ == shard index`. `dirty` records the
-  /// keys appended to since the last Seal() (duplicates allowed).
-  struct Shard {
-    mutable mx::Mutex mu;
-    std::unordered_map<uint64_t, SparseVec> pairs MX_GUARDED_BY(mu);
-    std::vector<uint64_t> dirty MX_GUARDED_BY(mu);
+  /// One metagraph's slot in a build. `kind` says what its run does at
+  /// the next Seal(); kSealed marks a metagraph already merged in this
+  /// build (committing it again aborts).
+  enum class RunKind : uint8_t { kNone, kReplace, kUpsert, kSealed };
+  struct Run {
+    RunKind kind = RunKind::kNone;
+    std::vector<Edit> pairs;  // keyed by PairKey, each key once
+    std::vector<Edit> nodes;  // keyed by node, each node once
   };
 
-  /// One stripe of the per-node rows: nodes with `node % num_shards_ ==
-  /// stripe index`. Guards node_vectors_ writes and the dirty list.
-  /// (node_vectors_ itself cannot carry a MX_GUARDED_BY: its guard is a
-  /// striped SET of mutexes, one per `node % num_shards_` class, which
-  /// the annotation language cannot express — the write-side contract is
-  /// enforced by construction in Commit() and documented in
-  /// docs/STATIC_ANALYSIS.md.)
-  struct NodeStripe {
-    mutable mx::Mutex mu;
-    std::vector<NodeId> dirty MX_GUARDED_BY(mu);
-  };
+  /// Commit() and Upsert(): writes the metagraph's run into its slot.
+  void AddRun(uint32_t metagraph_index,
+              const util::FlatCountMap<uint64_t>& pair_counts,
+              const util::FlatCountMap<NodeId>& node_counts, size_t aut_size,
+              RunKind kind);
 
   /// The v1 text parser behind ReadFrom, which wraps it in the
   /// allocation-failure guard (a text file can claim dimensions no
@@ -400,46 +393,30 @@ class MetagraphVectorIndex {
   void AdoptEntries(std::span<const Entry> node_entries,
                     std::span<const Entry> pair_entries);
 
-  size_t ShardOf(uint64_t key) const { return key % num_shards_; }
-  /// The (x, y) pair row, or an empty span when the pair has no slot.
-  /// Finalized, the lookup is a binary search for y in the ascending
-  /// Candidates(x) — no hash table and no search of the global key list.
+  /// The (x, y) pair row, or an empty span when the pair has no slot: a
+  /// binary search for y in the ascending Candidates(x) — no hash table
+  /// and no search of the global key list.
   std::span<const std::pair<uint32_t, float>> FindPairRow(NodeId x,
                                                           NodeId y) const;
-  /// Every pair row in ascending key order, finalized or not: what both
-  /// writers serialize.
-  std::vector<std::pair<uint64_t, std::span<const Entry>>> SortedPairRows()
-      const;
-  /// The pre-Finalize branch of FindPairRow: probes the owning shard's
-  /// table WITHOUT its lock. Escape hatch 1 of <=3 (see
-  /// docs/STATIC_ANALYSIS.md): this probe is the dual-stage trainer's hot
-  /// loop — SparsePairVector/PairDot against a Sealed-but-not-Finalized
-  /// index, one call per scored pair — and the class contract already
-  /// phase-separates reads from commit batches ("read accessors must not
-  /// race a commit batch"), so a per-call shard lock would add cost to
-  /// the training inner loop without excluding any legal schedule.
-  std::span<const std::pair<uint32_t, float>> ProbeShardRowUnlocked(
-      uint64_t key) const MX_NO_THREAD_SAFETY_ANALYSIS;
   /// Builds the CSR candidate postings from the (already sorted) pair
-  /// keys. The tail of Finalize(), shared with the loaders.
+  /// keys. The tail of Seal(), shared with the loaders.
   void BuildPostings();
 
   size_t num_metagraphs_;
   size_t num_graph_nodes_;
   CountTransform transform_;
-  size_t num_shards_ = 1;
   // One byte per metagraph (not vector<bool>: concurrent Commits write
   // distinct elements, which is only race-free for distinct objects).
   std::vector<uint8_t> committed_;
 
-  // ---- build-time state (until Finalize) --------------------------------
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<NodeStripe>> node_stripes_;
+  // ---- build state (until Finalize) -------------------------------------
+  // runs_[i] is metagraph i's slot. Sized once at construction, so
+  // concurrent Commits of distinct metagraphs touch disjoint objects.
+  std::vector<Run> runs_;
+  // The store a refresh build merges its first Seal() over.
+  std::shared_ptr<const MetagraphVectorIndex> base_;
 
-  // node_vectors_[x] is m_x until Finalize() packs it into the store.
-  std::vector<SparseVec> node_vectors_;  // indexed by NodeId
-
-  // ---- finalized state: the CSR store ------------------------------------
+  // ---- the CSR store (sealed or finalized) ---------------------------------
   // Row x of the node store is node_entries_[node_offsets_[x] ..
   // node_offsets_[x+1]); pair slot s, keyed pair_keys_[s], likewise.
   std::vector<uint64_t> pair_keys_;  // strictly ascending, x < y

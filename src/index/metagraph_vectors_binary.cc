@@ -5,7 +5,7 @@
 //
 // Wire contract highlights:
 //   * Deterministic: the same committed contents serialize to the same
-//     bytes for any thread/shard count (rows in canonical order, pairs in
+//     bytes for any thread count (rows in canonical order, pairs in
 //     sorted key order, LZW is a pure function of its input).
 //   * Key-width clean: pair endpoints travel as individual varints, so
 //     the format does not inherit the in-memory 64-bit PairKey packing.
@@ -56,19 +56,6 @@ using Row = std::span<const Entry>;
 static_assert(sizeof(Entry) == 8 && alignof(Entry) == 4 &&
                   std::is_trivially_destructible_v<Entry>,
               "raw entry sections memcpy/map {u32 index, f32 count} pairs");
-
-constexpr auto kRowOrder = [](const Entry& a, const Entry& b) {
-  return a.first < b.first;
-};
-
-// Rows serialize in canonical metagraph-index order even if the caller
-// skipped Seal() — mirrors the text writer's sort-a-copy fallback.
-Row Canonical(Row row, std::vector<Entry>* scratch) {
-  if (std::is_sorted(row.begin(), row.end(), kRowOrder)) return row;
-  scratch->assign(row.begin(), row.end());
-  std::sort(scratch->begin(), scratch->end(), kRowOrder);
-  return *scratch;
-}
 
 // One row onto the wire. Packed: per entry a varint index delta (first
 // entry: the index itself; later: index - prev - 1, exploiting the strict
@@ -313,10 +300,9 @@ util::Status MetagraphVectorIndex::WriteBinaryTo(std::ostream& os,
   }
   writer.AddSection(kSecCommitted, std::move(bits), 0, packed);
 
-  std::vector<Entry> scratch;
   std::string node_lens, node_entries;
   for (NodeId v = 0; v < num_nodes; ++v) {
-    const Row row = Canonical(NodeRow(v), &scratch);
+    const Row row = NodeRow(v);
     util::AppendVarint(&node_lens, row.size());
     AppendRow(&node_entries, row, packed);
   }
@@ -325,20 +311,20 @@ util::Status MetagraphVectorIndex::WriteBinaryTo(std::ostream& os,
                     packed);
 
   // Pairs in sorted key order, like the text writer: byte-identical for
-  // any thread/shard count, finalized or not. Keys are delta-coded from
+  // any thread count, finalized or not. Keys are delta-coded from
   // (0, 0): (x - prev_x, y) when x advances, else (0, y - prev_y).
-  const auto pair_rows = SortedPairRows();
   std::string pair_keys, pair_lens, pair_entries;
-  util::AppendVarint(&pair_keys, pair_rows.size());
+  util::AppendVarint(&pair_keys, pair_keys_.size());
   uint64_t px = 0, py = 0;
-  for (const auto& [key, pair_row] : pair_rows) {
+  for (uint32_t slot = 0; slot < pair_keys_.size(); ++slot) {
+    const uint64_t key = pair_keys_[slot];
     const uint64_t x = key >> 32;
     const uint64_t y = key & 0xffffffffu;
     util::AppendVarint(&pair_keys, x - px);
     util::AppendVarint(&pair_keys, x != px ? y : y - py);
     px = x;
     py = y;
-    const Row row = Canonical(pair_row, &scratch);
+    const Row row = PairRow(slot);
     util::AppendVarint(&pair_lens, row.size());
     AppendRow(&pair_entries, row, packed);
   }
@@ -423,6 +409,7 @@ util::StatusOr<MetagraphVectorIndex> MetagraphVectorIndex::LoadBinary(
       index.CheckRows(entries[1], index.pair_offsets_, hot[1].what));
   index.mapping_ = std::move(mapping);
   index.AdoptEntries(entries[0], entries[1]);
+  index.Finalize();
   return index;
 }
 

@@ -1,7 +1,7 @@
 #include "util/lzw.h"
 
+#include <algorithm>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "util/binary_io.h"
@@ -17,6 +17,8 @@ namespace {
 // with no explicit clear code on the wire.
 constexpr uint32_t kFirstCode = 256;
 constexpr uint32_t kMaxCodes = 1u << 16;
+// An empty slot of the encoder's table; no packed (key, code) is all ones.
+constexpr uint64_t kEmptySlot = ~uint64_t{0};
 
 }  // namespace
 
@@ -24,24 +26,36 @@ std::string LzwCompress(const std::string& input) {
   std::string out;
   if (input.empty()) return out;
   out.reserve(input.size() / 2);
-  // (current code << 8 | next byte) -> extended code.
-  std::unordered_map<uint32_t, uint16_t> dict;
+  // The dictionary, (current code << 8 | next byte) -> extended code, as
+  // one flat open-addressing table with linear probing: a key is at most
+  // 24 bits and a code 16, so a slot packs both into one word (key << 16 |
+  // code). The table holds at most one entry per input byte and never more
+  // than the code space, and is sized to stay at most half full.
+  const size_t max_entries =
+      std::min<size_t>(input.size(), kMaxCodes - kFirstCode);
+  int bits = 8;
+  while ((size_t{1} << bits) < 2 * max_entries) ++bits;
+  std::vector<uint64_t> table(size_t{1} << bits, kEmptySlot);
+  const size_t mask = table.size() - 1;
   uint32_t next_code = kFirstCode;
   uint32_t w = static_cast<uint8_t>(input[0]);
   for (size_t i = 1; i < input.size(); ++i) {
     const uint8_t c = static_cast<uint8_t>(input[i]);
     const uint32_t probe = (w << 8) | c;
-    auto it = dict.find(probe);
-    if (it != dict.end()) {
-      w = it->second;
+    size_t slot = static_cast<uint32_t>(probe * 0x9e3779b1u) >> (32 - bits);
+    while (table[slot] != kEmptySlot && (table[slot] >> 16) != probe) {
+      slot = (slot + 1) & mask;
+    }
+    if (table[slot] != kEmptySlot) {
+      w = static_cast<uint32_t>(table[slot] & 0xffffu);
       continue;
     }
     AppendScalar<uint16_t>(&out, static_cast<uint16_t>(w));
     if (next_code == kMaxCodes) {
-      dict.clear();
+      std::fill(table.begin(), table.end(), kEmptySlot);
       next_code = kFirstCode;
     } else {
-      dict.emplace(probe, static_cast<uint16_t>(next_code++));
+      table[slot] = (static_cast<uint64_t>(probe) << 16) | next_code++;
     }
     w = c;
   }

@@ -1,5 +1,5 @@
 // Strict parsing helpers for user-facing CLI flags and environment
-// variables (mgps_cli --threads/--shards, METAPROX_BENCH_* env vars).
+// variables (mgps_cli --threads, METAPROX_BENCH_* env vars).
 #ifndef METAPROX_UTIL_PARSE_H_
 #define METAPROX_UTIL_PARSE_H_
 

@@ -64,7 +64,7 @@ MetagraphVectorIndex RebuildAll(const SearchEngine& engine,
                                 const Graph& graph) {
   const auto& mined = engine.metagraphs();
   MetagraphVectorIndex index(mined.size(), graph.num_nodes(),
-                             engine.index().transform(), /*num_shards=*/1);
+                             engine.index().transform());
   auto matcher = CreateMatcher(engine.options().matcher);
   for (uint32_t i = 0; i < mined.size(); ++i) {
     SymPairCountingSink sink(mined[i].symmetry,
@@ -376,6 +376,166 @@ TEST(IndexMaintainer, CapTruncatedRefreshesStayByteIdentical) {
   }
   EXPECT_GT(saturated_at_base, 0u);
   EXPECT_GT(headroom_fallbacks, 0u);
+}
+
+// ---- the refresh merge, at the index level ---------------------------------
+
+// The merge's semantics on hand-made counts: a two-node metagraph whose
+// nodes are one symmetric pair (|Aut| = 1 here), so an "embedding" {a, b}
+// adds 1 to the (a, b) pair row and to the a and b node rows. Each case
+// builds a base index, refreshes it through OpenRefresh — the base owned
+// or memory-mapped — and compares the result byte for byte with a
+// from-scratch build of the new counts.
+using Embeddings = std::vector<std::pair<NodeId, NodeId>>;
+
+const SymmetryInfo& PairSymmetry() {
+  static const SymmetryInfo* sym = [] {
+    auto* s = new SymmetryInfo();
+    s->automorphisms.resize(1);
+    s->symmetric_pairs = {{0, 1}};
+    s->is_symmetric = true;
+    return s;
+  }();
+  return *sym;
+}
+
+std::unique_ptr<SymPairCountingSink> SinkOf(const Embeddings& embeddings) {
+  auto sink = std::make_unique<SymPairCountingSink>(PairSymmetry(), UINT64_MAX);
+  for (const auto& [a, b] : embeddings) {
+    const NodeId e[2] = {a, b};
+    sink->OnEmbedding(e);
+  }
+  return sink;
+}
+
+/// A finalized from-scratch build: metagraph i committed from counts[i].
+MetagraphVectorIndex BuildFromCounts(size_t num_nodes,
+                                     const std::vector<Embeddings>& counts) {
+  MetagraphVectorIndex index(counts.size(), num_nodes, CountTransform::kRaw);
+  for (uint32_t i = 0; i < counts.size(); ++i) {
+    index.Commit(i, *SinkOf(counts[i]), 1);
+  }
+  index.Finalize();
+  return index;
+}
+
+std::string BinaryBytes(const MetagraphVectorIndex& index) {
+  std::ostringstream os(std::ios::binary);
+  EXPECT_TRUE(index.WriteBinaryTo(os, BinaryLayout::kAligned).ok());
+  return os.str();
+}
+
+/// Upserts into `build` the keys that `delta` touches in metagraph i, each
+/// at its total over `total` — what the maintainer's delta path commits.
+void UpsertTouched(MetagraphVectorIndex& build, uint32_t i,
+                   const Embeddings& delta, const Embeddings& total) {
+  auto delta_sink = SinkOf(delta);
+  auto total_sink = SinkOf(total);
+  util::FlatCountMap<uint64_t> all_pairs = total_sink->pair_counts();
+  util::FlatCountMap<NodeId> all_nodes = total_sink->node_counts();
+  util::FlatCountMap<uint64_t> pairs;
+  util::FlatCountMap<NodeId> nodes;
+  for (const auto& slot : delta_sink->pair_counts()) {
+    pairs[slot.key] = all_pairs[slot.key];
+  }
+  for (const auto& slot : delta_sink->node_counts()) {
+    nodes[slot.key] = all_nodes[slot.key];
+  }
+  build.Upsert(i, pairs, nodes, 1);
+}
+
+class RefreshMerge : public ::testing::TestWithParam<testing::IndexRoundTrip> {
+ protected:
+  /// The base index over `num_nodes`, owned or mapped per the parameter.
+  std::shared_ptr<const MetagraphVectorIndex> Base(
+      size_t num_nodes, const std::vector<Embeddings>& counts) const {
+    return std::make_shared<const MetagraphVectorIndex>(testing::ApplyRoundTrip(
+        BuildFromCounts(num_nodes, counts), GetParam()));
+  }
+
+  static void ExpectSameBytes(const MetagraphVectorIndex& refreshed,
+                              const MetagraphVectorIndex& rebuilt) {
+    EXPECT_EQ(IndexBytes(refreshed), IndexBytes(rebuilt));
+    EXPECT_EQ(BinaryBytes(refreshed), BinaryBytes(rebuilt));
+    EXPECT_EQ(refreshed.num_pairs(), rebuilt.num_pairs());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Bases, RefreshMerge,
+    ::testing::Values(testing::IndexRoundTrip::kDirect,
+                      testing::IndexRoundTrip::kMapped),
+    [](const ::testing::TestParamInfo<testing::IndexRoundTrip>& info) {
+      return testing::IndexRoundTripName(info.param);
+    });
+
+TEST_P(RefreshMerge, UpsertOfAnExistingKey) {
+  const std::vector<Embeddings> before = {{{0, 1}, {1, 2}}, {{0, 1}, {2, 3}}};
+  const Embeddings delta = {{0, 1}};
+  std::vector<Embeddings> after = before;
+  after[0].insert(after[0].end(), delta.begin(), delta.end());
+
+  auto base = Base(4, before);
+  MetagraphVectorIndex build = MetagraphVectorIndex::OpenRefresh(base, 4);
+  UpsertTouched(build, 0, delta, after[0]);
+  build.Finalize();
+  EXPECT_FLOAT_EQ(build.PairRow(0)[0].second, 2.0f);  // (0, 1), metagraph 0
+  ExpectSameBytes(build, BuildFromCounts(4, after));
+}
+
+TEST_P(RefreshMerge, NewKeysIncludingAppendedNodes) {
+  const std::vector<Embeddings> before = {{{0, 1}}, {{1, 2}, {2, 3}}};
+  // New keys between old nodes, and between old and appended nodes 4, 5.
+  const Embeddings delta = {{0, 3}, {2, 5}, {4, 5}, {1, 2}};
+  std::vector<Embeddings> after = before;
+  after[1].insert(after[1].end(), delta.begin(), delta.end());
+
+  auto base = Base(4, before);
+  MetagraphVectorIndex build = MetagraphVectorIndex::OpenRefresh(base, 6);
+  UpsertTouched(build, 1, delta, after[1]);
+  build.Finalize();
+  EXPECT_EQ(build.num_graph_nodes(), 6u);
+  EXPECT_EQ(build.Candidates(5).size(), 2u);
+  ExpectSameBytes(build, BuildFromCounts(6, after));
+}
+
+TEST_P(RefreshMerge, ReplacedMetagraphDropsRowsAndSlots) {
+  // Pair (1, 3) and node 3 carry only metagraph 1; its new run drops them
+  // and moves to (4, 5) on appended nodes.
+  const std::vector<Embeddings> before = {{{0, 1}, {0, 2}},
+                                          {{0, 1}, {1, 3}, {1, 3}},
+                                          {{0, 2}}};
+  std::vector<Embeddings> after = before;
+  after[1] = {{0, 1}, {0, 1}, {4, 5}};
+
+  auto base = Base(4, before);
+  ASSERT_EQ(base->num_pairs(), 3u);
+  MetagraphVectorIndex build = MetagraphVectorIndex::OpenRefresh(base, 6);
+  build.Commit(1, *SinkOf(after[1]), 1);
+  build.Finalize();
+  EXPECT_TRUE(build.NodeRow(3).empty());
+  EXPECT_TRUE(build.Candidates(3).empty());
+  EXPECT_EQ(build.num_pairs(), 3u);  // (0,1), (0,2), (4,5): (1,3) is gone
+  ExpectSameBytes(build, BuildFromCounts(6, after));
+
+  // Emptied completely, the metagraph's rows and slots all vanish.
+  after[1].clear();
+  MetagraphVectorIndex emptied = MetagraphVectorIndex::OpenRefresh(base, 6);
+  emptied.Commit(1, *SinkOf({}), 1);
+  emptied.Finalize();
+  ExpectSameBytes(emptied, BuildFromCounts(6, after));
+}
+
+TEST_P(RefreshMerge, RefreshWithoutAppendsRepublishesIdenticalBytes) {
+  const std::vector<Embeddings> counts = {{{0, 1}, {1, 2}}, {{2, 3}}, {}};
+  auto base = Base(4, counts);
+  MetagraphVectorIndex build = MetagraphVectorIndex::OpenRefresh(base, 4);
+  build.Finalize();
+  ExpectSameBytes(build, *base);
+  ExpectSameBytes(build, BuildFromCounts(4, counts));
+  for (uint32_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(build.IsCommitted(i), base->IsCommitted(i));
+  }
 }
 
 // ---- arrival timelines ----------------------------------------------------

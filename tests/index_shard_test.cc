@@ -1,7 +1,7 @@
-// Sharded vector-index commits: the finalized index (and its serialized
-// form) must be byte-identical to the serial build for any shard count and
-// any commit order/interleaving, and the Commit/Seal/Finalize lifecycle
-// guards must hold.
+// Concurrent vector-index commits: the sealed and the finalized index (and
+// their serialized form) must be byte-identical to the serial build for
+// any number of committing threads and any commit order/interleaving, and
+// the Commit/Seal/Finalize lifecycle guards must hold.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -33,44 +33,40 @@ datagen::Dataset MakeDataset(uint32_t num_users = 140, uint64_t seed = 31) {
   return datagen::GenerateFacebook(cfg, seed);
 }
 
-EngineOptions MakeOptions(const datagen::Dataset& ds, unsigned num_threads,
-                          size_t num_shards) {
+EngineOptions MakeOptions(const datagen::Dataset& ds, unsigned num_threads) {
   EngineOptions options;
   options.miner.anchor_type = ds.user_type;
   options.miner.min_support = 3;
   options.miner.max_nodes = 4;
   options.num_threads = num_threads;
-  options.num_shards = num_shards;
   return options;
 }
 
-// ---- engine-level determinism across shard counts ------------------------
+// ---- engine-level determinism across thread counts -----------------------
 
-class ShardDeterminism : public ::testing::TestWithParam<size_t> {};
+class ThreadDeterminism : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(ShardDeterminism, SerialBuildEqualsShardedBuild) {
-  const size_t shards = GetParam();
+TEST_P(ThreadDeterminism, SerialBuildEqualsParallelBuild) {
+  const unsigned threads = GetParam();
   datagen::Dataset ds = MakeDataset();
 
-  SearchEngine serial(ds.graph, MakeOptions(ds, /*threads=*/1, /*shards=*/1));
+  SearchEngine serial(ds.graph, MakeOptions(ds, /*threads=*/1));
   serial.Mine();
   serial.MatchAll();
   const std::string reference = SerializeIndex(serial.index());
   ASSERT_GT(serial.metagraphs().size(), 5u);
 
-  for (unsigned threads : {1u, 4u, 8u}) {
-    SearchEngine engine(ds.graph, MakeOptions(ds, threads, shards));
-    engine.Mine();
-    engine.MatchAll();
-    ASSERT_EQ(engine.metagraphs().size(), serial.metagraphs().size());
-    EXPECT_EQ(SerializeIndex(engine.index()), reference)
-        << "index built with " << threads << " threads and " << shards
-        << " shards diverged from the serial build";
-  }
+  SearchEngine engine(ds.graph, MakeOptions(ds, threads));
+  engine.Mine();
+  engine.MatchAll();
+  ASSERT_EQ(engine.metagraphs().size(), serial.metagraphs().size());
+  EXPECT_EQ(SerializeIndex(engine.index()), reference)
+      << "index built with " << threads
+      << " threads diverged from the serial build";
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardDeterminism,
-                         ::testing::Values<size_t>(1, 4, 7));
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ThreadDeterminism,
+                         ::testing::Values<unsigned>(2, 3, 8));
 
 // ---- index-level concurrent commits --------------------------------------
 
@@ -103,9 +99,9 @@ class SinkSet {
     index.Commit(static_cast<uint32_t>(i), *sinks_[i], syms_[i].aut_size());
   }
 
-  MetagraphVectorIndex MakeIndex(size_t num_shards) const {
+  MetagraphVectorIndex MakeIndex() const {
     return MetagraphVectorIndex(size(), toy_.graph.num_nodes(),
-                                CountTransform::kRaw, num_shards);
+                                CountTransform::kRaw);
   }
 
  private:
@@ -115,19 +111,19 @@ class SinkSet {
   std::vector<std::unique_ptr<SymPairCountingSink>> sinks_;
 };
 
-TEST(IndexShard, ConcurrentCommitsMatchSerialBytes) {
+TEST(IndexCommit, ConcurrentCommitsMatchSerialBytes) {
   auto toy = testing::MakeToyGraph();
   SinkSet sinks(toy);
 
-  MetagraphVectorIndex serial = sinks.MakeIndex(1);
+  MetagraphVectorIndex serial = sinks.MakeIndex();
   for (size_t i = 0; i < sinks.size(); ++i) sinks.Commit(serial, i);
   serial.Seal();
   serial.Finalize();
   const std::string reference = SerializeIndex(serial);
 
-  util::ThreadPool pool(4);
-  for (size_t shards : {1u, 3u, 8u}) {
-    MetagraphVectorIndex index = sinks.MakeIndex(shards);
+  for (size_t threads : {1u, 2u, 3u, 8u}) {
+    util::ThreadPool pool(threads);
+    MetagraphVectorIndex index = sinks.MakeIndex();
     std::vector<std::future<void>> futures;
     // Reverse order, all in flight at once.
     for (size_t i = sinks.size(); i-- > 0;) {
@@ -137,18 +133,20 @@ TEST(IndexShard, ConcurrentCommitsMatchSerialBytes) {
     for (auto& f : futures) f.get();
     index.Seal();
     EXPECT_EQ(SerializeIndex(index), reference)
-        << "pre-finalize serialization diverged with " << shards << " shards";
+        << "pre-finalize serialization diverged with " << threads
+        << " committing threads";
     index.Finalize();
     EXPECT_EQ(SerializeIndex(index), reference)
-        << "finalized serialization diverged with " << shards << " shards";
+        << "finalized serialization diverged with " << threads
+        << " committing threads";
     EXPECT_EQ(index.num_pairs(), serial.num_pairs());
   }
 }
 
-TEST(IndexShard, RoundTripThroughReadFrom) {
+TEST(IndexCommit, RoundTripThroughReadFrom) {
   auto toy = testing::MakeToyGraph();
   SinkSet sinks(toy);
-  MetagraphVectorIndex index = sinks.MakeIndex(5);
+  MetagraphVectorIndex index = sinks.MakeIndex();
   for (size_t i = 0; i < sinks.size(); ++i) sinks.Commit(index, i);
   index.Seal();
   index.Finalize();
@@ -162,38 +160,37 @@ TEST(IndexShard, RoundTripThroughReadFrom) {
 
 // ---- lifecycle guards ----------------------------------------------------
 
-TEST(IndexShardDeathTest, FinalizeTwiceAborts) {
+TEST(IndexCommitDeathTest, FinalizeTwiceAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto toy = testing::MakeToyGraph();
-  MetagraphVectorIndex index(1, toy.graph.num_nodes(), CountTransform::kRaw,
-                             2);
+  MetagraphVectorIndex index(1, toy.graph.num_nodes(), CountTransform::kRaw);
   index.Finalize();
   EXPECT_DEATH(index.Finalize(), "Finalize\\(\\) called twice");
 }
 
-TEST(IndexShardDeathTest, CommitAfterFinalizeAborts) {
+TEST(IndexCommitDeathTest, CommitAfterFinalizeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto toy = testing::MakeToyGraph();
   SinkSet sinks(toy);
-  MetagraphVectorIndex index = sinks.MakeIndex(2);
+  MetagraphVectorIndex index = sinks.MakeIndex();
   sinks.Commit(index, 0);
   index.Finalize();
   EXPECT_DEATH(sinks.Commit(index, 1), "Commit\\(\\) after Finalize\\(\\)");
 }
 
-TEST(IndexShardDeathTest, DoubleCommitAborts) {
+TEST(IndexCommitDeathTest, DoubleCommitAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto toy = testing::MakeToyGraph();
   SinkSet sinks(toy);
-  MetagraphVectorIndex index = sinks.MakeIndex(2);
+  MetagraphVectorIndex index = sinks.MakeIndex();
   sinks.Commit(index, 0);
   EXPECT_DEATH(sinks.Commit(index, 0), "committed twice");
 }
 
-TEST(IndexShard, SealIsIdempotentAndSafeAfterFinalize) {
+TEST(IndexCommit, SealIsIdempotentAndSafeAfterFinalize) {
   auto toy = testing::MakeToyGraph();
   SinkSet sinks(toy);
-  MetagraphVectorIndex index = sinks.MakeIndex(3);
+  MetagraphVectorIndex index = sinks.MakeIndex();
   for (size_t i = 0; i < sinks.size(); ++i) sinks.Commit(index, i);
   index.Seal();
   index.Seal();  // no-op
