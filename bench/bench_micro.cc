@@ -1,12 +1,15 @@
 // Dot-kernel microbenchmarks: the sparse-row x dense-weight kernels of
 // core/score_kernels.h — scalar reference vs. the runtime-dispatched
 // kernel (AVX2+FMA where the CPU has it) vs. the multi-weight kernel —
-// swept over row lengths 4..4096 and both count transforms.
+// swept over row lengths 4..4096, both count transforms and two count
+// distributions: uniform reals in [0, 3e6), which almost never hit the
+// exact log1p table, and index-shaped counts (embeddings / |Aut|: mostly
+// small whole numbers, a fractional tail), which almost always do. The
+// table's hit share of each row set is printed with it.
 //
 // Two numbers matter per configuration:
-//   * ns/entry of single-weight scalar vs. dispatched (the SIMD payoff,
-//     which is large for kRaw and bounded by the scalar log1p calls for
-//     kLog1p — vectorizing log1p would break the bitwise contract);
+//   * ns/entry of single-weight scalar vs. dispatched (the SIMD payoff;
+//     under log1p, the table lookup vs. the libm call sets most of it);
 //   * ns/entry/model of the multi-weight kernel as models grow (the
 //     gather-once/score-many marginal cost; the point of the shared-window
 //     batch is that this is far below one full single-weight walk). At
@@ -51,7 +54,42 @@ struct RowSet {
   }
 };
 
-RowSet MakeRows(size_t len, size_t total_entries, util::Rng& rng) {
+enum class Counts { kUniform, kIndexShaped };
+
+const char* CountsName(Counts counts) {
+  return counts == Counts::kUniform ? "uniform" : "index";
+}
+
+// A count drawn from `counts`. Index-shaped follows the servebench
+// indexes, where counts are embeddings / |Aut|: mostly whole numbers
+// below 64, fewer up to the table's end, a few past it, and a k/|Aut|
+// fractional tail.
+float DrawCount(Counts counts, util::Rng& rng) {
+  if (counts == Counts::kUniform) {
+    return static_cast<float>(rng.UniformDouble(0.0, 3.0e6));
+  }
+  const uint64_t kind = rng.UniformInt(1000);
+  if (kind < 860) return static_cast<float>(rng.UniformInt(64));
+  if (kind < 970) {
+    return static_cast<float>(64 + rng.UniformInt(kLog1pTableSize - 64));
+  }
+  if (kind < 975) {
+    return static_cast<float>(kLog1pTableSize + rng.UniformInt(16000));
+  }
+  static constexpr float kAut[] = {2.0f, 3.0f, 4.0f, 6.0f, 8.0f, 12.0f};
+  return static_cast<float>(1 + rng.UniformInt(200)) / kAut[rng.UniformInt(6)];
+}
+
+// Whether the log1p transform reads `count` from the table (a whole
+// number in [0, kLog1pTableSize), not -0.0f).
+bool InLog1pTable(float count) {
+  return !std::signbit(count) &&
+         count < static_cast<float>(kLog1pTableSize) &&
+         count == std::floor(count);
+}
+
+RowSet MakeRows(size_t len, size_t total_entries, Counts counts,
+                util::Rng& rng) {
   RowSet set;
   const size_t n_rows = std::max<size_t>(1, total_entries / len);
   set.storage.reserve(n_rows * len);
@@ -60,10 +98,16 @@ RowSet MakeRows(size_t len, size_t total_entries, util::Rng& rng) {
     for (size_t e = 0; e < len; ++e) {
       set.storage.emplace_back(
           static_cast<uint32_t>(rng.UniformInt(kNumWeights)),
-          static_cast<float>(rng.UniformDouble(0.0, 3.0e6)));
+          DrawCount(counts, rng));
     }
   }
   return set;
+}
+
+double TableHitShare(const RowSet& set) {
+  size_t hits = 0;
+  for (const RowEntry& entry : set.storage) hits += InLog1pTable(entry.second);
+  return static_cast<double>(hits) / static_cast<double>(set.storage.size());
 }
 
 // Best-of-kReps seconds for `fn`, which must fold its work into a value
@@ -111,8 +155,9 @@ int main(int argc, char** argv) {
   const std::vector<size_t> row_lens = {4, 16, 64, 256, 1024, 4096};
   const size_t total_entries = FullScale() ? (1u << 22) : (1u << 18);
 
-  util::TablePrinter table({"transform", "row len", "kernel", "models",
-                            "ns/row", "ns/entry", "vs scalar"});
+  util::TablePrinter table({"transform", "counts", "table hits", "row len",
+                            "kernel", "models", "ns/row", "ns/entry",
+                            "vs scalar"});
   JsonReport report("micro");
   report.BeginRecord()
       .Str("config", "dispatch")
@@ -121,9 +166,17 @@ int main(int argc, char** argv) {
   bool all_bitwise = true;
   double checksum = 0.0;  // consumed below so no timed loop is dead code
 
-  for (RowTransform transform : {RowTransform::kRaw, RowTransform::kLog1p}) {
+  // Raw rows cost the same whatever their counts; log1p rows are timed on
+  // both distributions.
+  const std::pair<RowTransform, Counts> sweeps[] = {
+      {RowTransform::kRaw, Counts::kUniform},
+      {RowTransform::kLog1p, Counts::kUniform},
+      {RowTransform::kLog1p, Counts::kIndexShaped},
+  };
+  for (const auto& [transform, counts] : sweeps) {
     for (size_t len : row_lens) {
-      const RowSet rows = MakeRows(len, total_entries, rng);
+      const RowSet rows = MakeRows(len, total_entries, counts, rng);
+      const double hit_share = TableHitShare(rows);
       const size_t n_rows = rows.rows.size();
       const double entries =
           static_cast<double>(n_rows) * static_cast<double>(len);
@@ -151,12 +204,16 @@ int main(int argc, char** argv) {
         const double ns_entry = seconds * 1e9 / per_model_entries;
         const double speedup = scalar_seconds / seconds *
                                (per_model_entries / entries);
-        table.AddRow({TransformName(transform), std::to_string(len), kernel,
-                      std::to_string(models), util::FormatDouble(ns_row, 1),
+        table.AddRow({TransformName(transform), CountsName(counts),
+                      util::FormatDouble(100.0 * hit_share, 1) + "%",
+                      std::to_string(len), kernel, std::to_string(models),
+                      util::FormatDouble(ns_row, 1),
                       util::FormatDouble(ns_entry, 2),
                       util::FormatDouble(speedup, 2) + "x"});
         report.BeginRecord()
             .Str("transform", TransformName(transform))
+            .Str("counts", CountsName(counts))
+            .Num("table_hit_share", hit_share)
             .Num("row_len", static_cast<double>(len))
             .Str("kernel", kernel)
             .Num("models", static_cast<double>(models))
@@ -205,10 +262,12 @@ int main(int argc, char** argv) {
   std::printf("\n(checksum %.6g)\n", checksum);
   std::printf(
       "expected shape: dispatched beats scalar on raw rows (SIMD gathers); "
-      "log1p narrows the gap (bitwise contract keeps libm log1p); multi "
-      "at 1 model matches dispatched; multi's per-model ns/entry FALLS as "
-      "models grow — the marginal model is one "
-      "fma per entry, which is what the shared-window batch banks on.\n");
+      "log1p on uniform counts misses the table, so libm sets the cost and "
+      "narrows the gap; log1p on index-shaped counts hits the table and "
+      "costs a few times raw, not libm; multi at 1 model matches "
+      "dispatched; multi's per-model ns/entry FALLS as models grow — the "
+      "marginal model is one fma per entry, which is what the "
+      "shared-window batch banks on.\n");
 
   if (!all_bitwise) {
     std::fprintf(stderr,

@@ -9,6 +9,13 @@
 // hash probe per pair, and a pair row between two queries of the batch is
 // dotted once for both — plus the fan-out over the thread pool.
 //
+// A second table replays the same stream the way the query server does:
+// one thread, one reused BatchScratch, windows of 1, 4, 8 and 16 queries,
+// under one model or four striped across the queries. It prints the
+// batch's cost per query beside sequential Query() over the same stream
+// and models — whether a server window costs more per query than the
+// queries it holds.
+//
 // Also verifies the batched determinism contract on every configuration:
 // whatever the batch size and thread count, every query's result must be
 // identical (nodes, bitwise scores, order) to the sequential Query path.
@@ -27,6 +34,7 @@
 #include "baselines/simple.h"
 #include "bench_common.h"
 #include "core/query_batch.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -38,6 +46,7 @@ namespace {
 
 constexpr size_t kTopK = 10;
 constexpr int kReps = 3;  // best-of reps: timing noise, not results
+constexpr size_t kWindowQueries = 1000;  // stream prefix the window table runs
 
 // Best-of-kReps seconds for one full pass over the query stream.
 template <typename Fn>
@@ -146,13 +155,85 @@ int main(int argc, char** argv) {
     if (batch >= 8 && best_speedup <= 1.0) batched_wins_from_8 = false;
   }
   table.Print(std::cout);
+
+  // Server-sized windows: model 0 is the uniform model above, models 1-3
+  // draw random non-negative weights; query i runs under model i % N.
+  std::vector<MgpModel> window_models = {model};
+  util::Rng rng(7);
+  for (size_t m = 1; m < 4; ++m) {
+    std::vector<double> w(weights.size());
+    for (double& x : w) x = rng.UniformDouble(0.0, 1.0);
+    window_models.push_back(MgpModel{std::move(w)});
+  }
+  // The stream's first kWindowQueries queries: per-query costs settle
+  // well before that, and a one-query window under four models is slow.
+  const std::span<const NodeId> prefix(
+      stream.data(), std::min(stream.size(), kWindowQueries));
+  const std::vector<size_t> window_sizes = {1, 4, 8, 16};
+  util::TablePrinter window_table({"window", "models", "batch us/query",
+                                   "Query() us/query", "batch/Query()",
+                                   "identical"});
+  for (size_t n_models : {size_t{1}, size_t{4}}) {
+    std::vector<std::span<const double>> spans;
+    for (size_t m = 0; m < n_models; ++m) {
+      spans.push_back(window_models[m].weights);
+    }
+    std::vector<uint32_t> model_of(prefix.size());
+    for (size_t i = 0; i < prefix.size(); ++i) {
+      model_of[i] = static_cast<uint32_t>(i % n_models);
+    }
+    std::vector<QueryResult> expected(prefix.size());
+    const double query_seconds = TimeBest([&] {
+      for (size_t i = 0; i < prefix.size(); ++i) {
+        expected[i] =
+            b.engine->Query(window_models[model_of[i]], prefix[i], kTopK);
+      }
+    });
+    const double query_us = query_seconds * 1e6 / prefix.size();
+    for (size_t window : window_sizes) {
+      BatchScratch scratch;
+      std::vector<QueryResult> results(prefix.size());
+      const double seconds = TimeBest([&] {
+        for (size_t begin = 0; begin < prefix.size(); begin += window) {
+          const size_t end = std::min(prefix.size(), begin + window);
+          auto chunk = BatchRankByProximityMulti(
+              index, spans,
+              std::span<const NodeId>(prefix.data() + begin, end - begin),
+              std::span<const uint32_t>(model_of.data() + begin,
+                                        end - begin),
+              kTopK, nullptr, &scratch);
+          std::move(chunk.begin(), chunk.end(), results.begin() + begin);
+        }
+      });
+      const bool identical = Identical(results, expected);
+      all_identical &= identical;
+      const double batch_us = seconds * 1e6 / prefix.size();
+      window_table.AddRow({std::to_string(window), std::to_string(n_models),
+                           util::FormatDouble(batch_us, 1),
+                           util::FormatDouble(query_us, 1),
+                           util::FormatDouble(batch_us / query_us, 2) + "x",
+                           identical ? "yes" : "NO — BUG"});
+      report.BeginRecord()
+          .Str("config", "window")
+          .Num("window", static_cast<double>(window))
+          .Num("models", static_cast<double>(n_models))
+          .Num("batch_us_per_query", batch_us)
+          .Num("query_us_per_query", query_us)
+          .Num("batch_over_query", batch_us / query_us)
+          .Num("identical", identical ? 1 : 0);
+    }
+  }
+  std::printf("\nserver-sized windows (1 thread, reused scratch, models "
+              "striped across queries):\n");
+  window_table.Print(std::cout);
   if (!report.WriteIfRequested()) return 1;
 
   std::printf(
       "\nexpected shape: speedup rises with batch size (more node-row "
       "reuse per batch) and with threads at large batches; batch 1 "
       "roughly matches sequential; the \"identical\" column must read "
-      "yes everywhere.\n");
+      "yes everywhere. In the window table a ratio above 1x means a "
+      "server window costs more per query than Query() does.\n");
 
   if (!all_identical) {
     std::fprintf(stderr,

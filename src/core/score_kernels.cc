@@ -1,6 +1,7 @@
 #include "core/score_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -12,20 +13,53 @@
 namespace metaprox::kernels {
 namespace {
 
-inline double TransformValue(float count, RowTransform transform) {
-  // float -> double is exact, so both transforms see the same operand the
-  // sequential reference always saw.
-  const double raw = static_cast<double>(count);
-  return transform == RowTransform::kLog1p ? std::log1p(raw) : raw;
+// The bits of float(kLog1pTableSize). Non-negative floats order like
+// their bit patterns, and every negative float (-0.0f included) and NaN
+// has a larger pattern, so `bits < kTableLimitBits` is exactly
+// "0 <= count < kLog1pTableSize" with -0.0f (whose log1p is -0.0) left
+// to libm.
+constexpr uint32_t kTableLimitBits =
+    std::bit_cast<uint32_t>(static_cast<float>(kLog1pTableSize));
+
+const double* Log1pTableData() {
+  // Magic static: filled once, thread-safely, by the same libm call the
+  // misses take, so a hit and a miss agree on every bit.
+  static const struct Table {
+    double value[kLog1pTableSize];
+    Table() {
+      for (uint32_t i = 0; i < kLog1pTableSize; ++i) {
+        value[i] = std::log1p(static_cast<double>(i));
+      }
+    }
+  } table;
+  return table.value;
+}
+
+// TransformCount with the table hoisted out of the caller's row loop.
+// float -> double is exact, so the raw value and libm see the count
+// exactly as stored.
+inline double Transform(float count, RowTransform transform,
+                        const double* log1p_table) {
+  if (transform == RowTransform::kRaw) return static_cast<double>(count);
+  if (std::bit_cast<uint32_t>(count) < kTableLimitBits) {
+    const int32_t i = static_cast<int32_t>(count);
+    if (static_cast<float>(i) == count) return log1p_table[i];
+  }
+  return std::log1p(static_cast<double>(count));
 }
 
 }  // namespace
 
+double TransformCount(float count, RowTransform transform) {
+  return Transform(count, transform, Log1pTableData());
+}
+
 double RowDotScalar(std::span<const RowEntry> row,
                     std::span<const double> weights, RowTransform transform) {
+  const double* table = Log1pTableData();
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   for (size_t e = 0; e < row.size(); ++e) {
-    const double t = TransformValue(row[e].second, transform);
+    const double t = Transform(row[e].second, transform, table);
     lanes[e & 3] = std::fma(weights[row[e].first], t, lanes[e & 3]);
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
@@ -34,10 +68,11 @@ double RowDotScalar(std::span<const RowEntry> row,
 void RowDotMultiScalar(std::span<const RowEntry> row,
                        const MultiWeightSet& weights, RowTransform transform,
                        double* out, double* lanes) {
+  const double* table = Log1pTableData();
   const size_t m = weights.num_models();
   std::fill(lanes, lanes + 4 * m, 0.0);
   for (size_t e = 0; e < row.size(); ++e) {
-    const double t = TransformValue(row[e].second, transform);
+    const double t = Transform(row[e].second, transform, table);
     const double* wrow = weights.row(row[e].first);
     double* lane = lanes + (e & 3) * m;
     for (size_t j = 0; j < m; ++j) lane[j] = std::fma(wrow[j], t, lane[j]);
@@ -66,9 +101,17 @@ void RowDotMultiScalar(std::span<const RowEntry> row,
 // and vfmadd is correctly rounded like std::fma, so the bits match the
 // scalar kernel lane for lane. Entries past the last full group continue
 // scalar into the spilled lanes.
+//
+// Under log1p, the four counts are tested at once for the table, as the
+// scalar Transform tests one: bits below kTableLimitBits (an unsigned
+// compare, via min) and a truncate/convert round trip that gives the
+// count back. When all four hit, one gather reads their table entries;
+// otherwise each lane takes the scalar Transform. Either way each lane
+// holds the bits std::log1p returns.
 __attribute__((target("avx2,fma"))) double RowDotAvx2(
     std::span<const RowEntry> row, std::span<const double> weights,
     RowTransform transform) {
+  const double* table = Log1pTableData();
   const RowEntry* entries = row.data();
   const size_t n = row.size();
   __m256d acc = _mm256_setzero_pd();
@@ -85,27 +128,37 @@ __attribute__((target("avx2,fma"))) double RowDotAvx2(
       acc = _mm256_fmadd_pd(w4, _mm256_cvtps_pd(cnt4), acc);
     }
   } else {
-    // log1p stays the scalar libm call in the SIMD kernel too: a vector
-    // approximation would be faster and WRONG (different bits than the
-    // scalar fallback). The fma/gather arithmetic around it still pays.
+    const __m128i limit = _mm_set1_epi32(static_cast<int>(kTableLimitBits - 1));
     for (; e + 4 <= n; e += 4) {
       const __m256i pairs = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(entries + e));
       const __m256i packed = _mm256_permutevar8x32_epi32(pairs, split);
       const __m128i idx4 = _mm256_castsi256_si128(packed);
+      const __m128i bits4 = _mm256_extracti128_si256(packed, 1);
+      const __m128 cnt4 = _mm_castsi128_ps(bits4);
+      const __m128i int4 = _mm_cvttps_epi32(cnt4);
+      const __m128i in_range =
+          _mm_cmpeq_epi32(_mm_min_epu32(bits4, limit), bits4);
+      const __m128i whole =
+          _mm_castps_si128(_mm_cmpeq_ps(_mm_cvtepi32_ps(int4), cnt4));
       const __m256d w4 = _mm256_i32gather_pd(weights.data(), idx4, 8);
-      const __m256d t4 = _mm256_setr_pd(
-          std::log1p(static_cast<double>(entries[e].second)),
-          std::log1p(static_cast<double>(entries[e + 1].second)),
-          std::log1p(static_cast<double>(entries[e + 2].second)),
-          std::log1p(static_cast<double>(entries[e + 3].second)));
+      __m256d t4;
+      if (_mm_movemask_ps(_mm_castsi128_ps(_mm_and_si128(in_range, whole))) ==
+          0xF) {
+        t4 = _mm256_i32gather_pd(table, int4, 8);
+      } else {
+        t4 = _mm256_setr_pd(Transform(entries[e].second, transform, table),
+                            Transform(entries[e + 1].second, transform, table),
+                            Transform(entries[e + 2].second, transform, table),
+                            Transform(entries[e + 3].second, transform, table));
+      }
       acc = _mm256_fmadd_pd(w4, t4, acc);
     }
   }
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, acc);
   for (; e < n; ++e) {
-    const double t = TransformValue(entries[e].second, transform);
+    const double t = Transform(entries[e].second, transform, table);
     lanes[e & 3] = std::fma(weights[entries[e].first], t, lanes[e & 3]);
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
@@ -121,10 +174,11 @@ __attribute__((target("avx2,fma"))) double RowDotAvx2(
 __attribute__((target("avx2,fma"))) void RowDotMultiAvx2(
     std::span<const RowEntry> row, const MultiWeightSet& weights,
     RowTransform transform, double* out, double* lanes) {
+  const double* table = Log1pTableData();
   const size_t m = weights.num_models();
   std::fill(lanes, lanes + 4 * m, 0.0);
   for (size_t e = 0; e < row.size(); ++e) {
-    const double t = TransformValue(row[e].second, transform);
+    const double t = Transform(row[e].second, transform, table);
     const __m256d tb = _mm256_set1_pd(t);
     const double* wrow = weights.row(row[e].first);
     double* lane = lanes + (e & 3) * m;

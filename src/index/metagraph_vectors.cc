@@ -1,7 +1,6 @@
 #include "index/metagraph_vectors.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -317,16 +316,6 @@ void MetagraphVectorIndex::BuildPostings() {
   }
 }
 
-double MetagraphVectorIndex::Transform(double raw) const {
-  switch (transform_) {
-    case CountTransform::kRaw:
-      return raw;
-    case CountTransform::kLog1p:
-      return std::log1p(raw);
-  }
-  return raw;
-}
-
 std::span<const std::pair<uint32_t, float>> MetagraphVectorIndex::FindPairRow(
     NodeId x, NodeId y) const {
   const std::span<const NodeId> candidates = Candidates(x);
@@ -353,19 +342,23 @@ double MetagraphVectorIndex::PairDot(NodeId x, NodeId y,
 void MetagraphVectorIndex::DenseNodeVector(NodeId x,
                                            std::vector<double>* out) const {
   out->assign(num_metagraphs_, 0.0);
-  for (const auto& [i, c] : NodeRow(x)) (*out)[i] = Transform(c);
+  for (const auto& [i, c] : NodeRow(x)) {
+    (*out)[i] = kernels::TransformCount(c, row_transform());
+  }
 }
 
 void MetagraphVectorIndex::DensePairVector(NodeId x, NodeId y,
                                            std::vector<double>* out) const {
   out->assign(num_metagraphs_, 0.0);
-  for (const auto& [i, c] : FindPairRow(x, y)) (*out)[i] = Transform(c);
+  for (const auto& [i, c] : FindPairRow(x, y)) {
+    (*out)[i] = kernels::TransformCount(c, row_transform());
+  }
 }
 
 void MetagraphVectorIndex::SparseNodeVector(
     NodeId x, std::vector<std::pair<uint32_t, double>>* out) const {
   for (const auto& [i, c] : NodeRow(x)) {
-    out->emplace_back(i, Transform(c));
+    out->emplace_back(i, kernels::TransformCount(c, row_transform()));
   }
 }
 
@@ -373,7 +366,7 @@ void MetagraphVectorIndex::SparsePairVector(
     NodeId x, NodeId y,
     std::vector<std::pair<uint32_t, double>>* out) const {
   for (const auto& [i, c] : FindPairRow(x, y)) {
-    out->emplace_back(i, Transform(c));
+    out->emplace_back(i, kernels::TransformCount(c, row_transform()));
   }
 }
 

@@ -297,8 +297,6 @@ class MetagraphVectorIndex {
   /// rows to kernels::RowDot/RowDotMulti directly.
   kernels::RowTransform row_transform() const;
 
-  double Transform(double raw) const;
-
   /// Serializes the sealed store (finalized or not) to a text stream.
   /// Pairs are written in sorted PairKey order and rows in metagraph-index
   /// order, so the output is byte-identical for any thread count.
