@@ -3,11 +3,10 @@
 // runs it) vs. the sequential per-query path, swept over batch size and
 // worker threads on the synthetic Facebook benchmark graph.
 //
-// The batched path amortizes four per-query costs: duplicate queries are
-// scored once, every touched node row's m_x . w is gathered once per batch,
-// pair rows are read through the candidate-slot postings instead of a
-// hash probe per pair, and a pair row between two queries of the batch is
-// dotted once for both — plus the fan-out over the thread pool.
+// The batched path amortizes three per-query costs: duplicate queries
+// are scored once, every touched node row's m_x . w is gathered once per
+// batch, and pair rows are read through the candidate-slot postings
+// instead of a search per pair — plus the fan-out over the thread pool.
 //
 // A second table replays the same stream the way the query server does:
 // one thread, one reused BatchScratch, windows of 1, 4, 8 and 16 queries,

@@ -34,16 +34,12 @@ void ScoreCandidate(NodeId y, const double* pair_dots, const double* q_dots,
 
 void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
   MX_CHECK(num_models >= 1);
-  if (epoch_of_.size() != num_nodes) {
-    // Different graph (or first use): full (re)allocation. Epoch restarts
-    // at 1 with every mark at 0, so nothing from the old graph survives.
-    epoch_of_.assign(num_nodes, 0);
-    touch_order_.assign(num_nodes, 0);
-    epoch_ = 0;
-  }
   num_models_ = num_models;
-  // The dot cache only ever grows (to the largest nodes x models layout
-  // seen); stale contents need no zeroing — the epoch gates every read.
+  // Both tables only ever grow (to the largest graph and nodes x models
+  // layout seen); stale contents need no zeroing. New epoch_of_ entries
+  // start at 0 and old ones hold earlier epochs, so the ever-increasing
+  // epoch gates every read.
+  if (epoch_of_.size() < num_nodes) epoch_of_.resize(num_nodes);
   if (node_dots_.size() < num_nodes * num_models_) {
     node_dots_.resize(num_nodes * num_models_);
   }
@@ -130,92 +126,40 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   }
 
   // The shared window: mark the UNION of every query's touched rows, once.
-  // Query nodes go first, in group order, so TouchOrder(y) < num_groups
-  // says y is a query node of this window and names its group. Two query
-  // nodes that are each other's candidates (a mutual pair) share one pair
-  // row — the index gives (a, b) and (b, a) the same slot — so the walk
-  // collects that slot once, from its lower group: owner-major and in
-  // candidate order, duplicate-free with no sort.
   scratch->BeginBatch(num_nodes, n_models);
-  for (NodeId q : qnodes) scratch->MarkTouched(q);
-  std::vector<uint32_t> shared_slots;
-  std::vector<uint32_t> shared_partner;  // the upper group of each pair
-  std::vector<size_t> owned_begin(num_groups + 1);
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    owned_begin[g] = shared_slots.size();
-    const std::span<const NodeId> candidates = index.Candidates(qnodes[g]);
-    const std::span<const uint32_t> slots = index.CandidateSlots(qnodes[g]);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      // A first touch cannot be a query node: those are all marked.
-      if (scratch->MarkTouched(candidates[i])) continue;
-      const uint32_t partner = scratch->TouchOrder(candidates[i]);
-      if (partner < num_groups && partner > g) {
-        shared_slots.push_back(slots[i]);
-        shared_partner.push_back(partner);
-      }
-    }
-  }
-  owned_begin[num_groups] = shared_slots.size();
-  const size_t shared_pairs = shared_slots.size();
-
-  // Each upper group finds its mutual pairs through a CSR of (pair,
-  // owner group) entries — O(shared pairs), no search.
-  std::vector<size_t> inbound_begin(num_groups + 1, 0);
-  for (uint32_t partner : shared_partner) ++inbound_begin[partner + 1];
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    inbound_begin[g + 1] += inbound_begin[g];
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> inbound(shared_pairs);
-  {
-    std::vector<size_t> cursor(inbound_begin.begin(), inbound_begin.end() - 1);
-    for (uint32_t g = 0; g < num_groups; ++g) {
-      for (size_t p = owned_begin[g]; p < owned_begin[g + 1]; ++p) {
-        inbound[cursor[shared_partner[p]]++] = {static_cast<uint32_t>(p), g};
-      }
-    }
+  for (NodeId q : qnodes) {
+    scratch->MarkTouched(q);
+    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
   }
 
   kernels::MultiWeightSet wset;
   wset.Assign(models);
 
-  // Gather pass, all models at once, over the touched node rows followed
-  // by the shared pair rows: each row is walked (and its count transform
-  // computed) exactly once, filling its n_models dots. Chunks write
-  // disjoint outputs (both lists are duplicate-free), so no
+  // Gather pass, all models at once: each touched node row is walked (and
+  // its count transform computed) exactly once, filling its n_models dots.
+  // Chunks write disjoint rows (the list is duplicate-free), so no
   // synchronization.
   const std::span<const NodeId> nodes = scratch->touched();
   if (stats != nullptr) {
     stats->rows_gathered = nodes.size();
     if (n_models == 1) stats->rows_per_model = nodes.size();
-    stats->shared_pair_rows = shared_pairs;
   }
   const kernels::RowTransform transform = index.row_transform();
-  std::vector<double> shared_dots(shared_pairs * n_models);
-  util::ParallelChunks(pool, nodes.size() + shared_pairs, [&](size_t begin,
-                                                              size_t end) {
+  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
     for (size_t i = begin; i < end; ++i) {
-      if (i < nodes.size()) {
-        kernels::RowDotMulti(index.NodeRow(nodes[i]), wset, transform,
-                             scratch->MutableNodeDots(nodes[i]), lanes.data());
-      } else {
-        const size_t p = i - nodes.size();
-        kernels::RowDotMulti(index.PairRow(shared_slots[p]), wset, transform,
-                             shared_dots.data() + p * n_models, lanes.data());
-      }
+      kernels::RowDotMulti(index.NodeRow(nodes[i]), wset, transform,
+                           scratch->MutableNodeDots(nodes[i]), lanes.data());
     }
   });
 
   // Scoring pass: one group per query node, walking its candidate postings
   // ONCE for all its member models. Each candidate's pair row yields its
-  // n_models dots in one kernel call, or is read from the shared dots: a
-  // lower group's mutual pairs come up in the order the marking walk
-  // collected them, and an upper group skips its mutual candidates in the
-  // walk and scores them from its inbound entries instead.
+  // n_models dots in one kernel call.
   std::vector<QueryResult> uniq_results(uniq.size());
   util::ParallelChunks(pool, num_groups, [&](size_t begin, size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
-    std::vector<double> local_dots(n_models);
+    std::vector<double> pair_dots(n_models);
     // Lists grow in worker-local vectors and move out when ranked:
     // growing them in place would put neighbouring groups' vector headers,
     // written on every append, in one cache line across workers.
@@ -228,34 +172,13 @@ std::vector<QueryResult> BatchRankByProximityMulti(
       const std::span<const Member> members = members_of(g);
       scored.resize(members.size());
       for (QueryResult& s : scored) s.reserve(candidates.size());
-      size_t next_owned = owned_begin[g];
-      // Read only by the MX_DCHECK below, which release builds compile out.
-      [[maybe_unused]] size_t skipped = 0;
       for (size_t i = 0; i < candidates.size(); ++i) {
         const NodeId y = candidates[i];
         if (y == q) continue;
-        const double* pair_dots = local_dots.data();
-        const uint32_t partner = scratch->TouchOrder(y);
-        if (partner < num_groups) {
-          if (partner < g) {
-            ++skipped;
-            continue;
-          }
-          pair_dots = shared_dots.data() + next_owned++ * n_models;
-        } else {
-          kernels::RowDotMulti(index.PairRow(slots[i]), wset, transform,
-                               local_dots.data(), lanes.data());
-        }
-        ScoreCandidate(y, pair_dots, q_dots, scratch->NodeDots(y), members,
-                       scored.data());
-      }
-      MX_DCHECK(next_owned == owned_begin[g + 1]);
-      MX_DCHECK(skipped == inbound_begin[g + 1] - inbound_begin[g]);
-      for (size_t e = inbound_begin[g]; e < inbound_begin[g + 1]; ++e) {
-        const auto [pair, owner] = inbound[e];
-        const NodeId y = qnodes[owner];
-        ScoreCandidate(y, shared_dots.data() + pair * n_models, q_dots,
-                       scratch->NodeDots(y), members, scored.data());
+        kernels::RowDotMulti(index.PairRow(slots[i]), wset, transform,
+                             pair_dots.data(), lanes.data());
+        ScoreCandidate(y, pair_dots.data(), q_dots, scratch->NodeDots(y),
+                       members, scored.data());
       }
       // ProximityRankBefore is total, so the top k do not depend on the
       // order the candidates were scored in.

@@ -15,11 +15,10 @@
 //     weights, one count transform per entry, so an extra model costs
 //     about one fma per row entry; at N = 1 the kernel is the
 //     single-weight one);
-//   * pair rows are read through the index's candidate-slot postings
+//   * each query node's pair rows are read once for all the models it is
+//     queried under, through the index's candidate-slot postings
 //     (MetagraphVectorIndex::CandidateSlots), a direct array walk with no
-//     per-pair hash probe, and a pair row between two query nodes of the
-//     window (mutual candidates) is walked once for both endpoints and all
-//     models;
+//     per-pair search;
 //   * distinct query nodes score independently, so the gather and scoring
 //     passes fan out over a util::ThreadPool.
 //
@@ -54,18 +53,19 @@ namespace metaprox {
 using QueryResult = std::vector<std::pair<NodeId, double>>;
 
 /// Reusable epoch-marked scratch for the batched online path: the
-/// batch-wide node dedup mark, touch order and node-dot cache, dense over
-/// the graph's nodes but allocated once and never cleared between batches.
+/// batch-wide node dedup mark and node-dot cache, dense over the graph's
+/// nodes but allocated once and never cleared between batches.
 /// BeginBatch() bumps an epoch instead of zeroing, so a long-lived caller
 /// (the query server's batcher, a bench's replay loop) pays O(rows
 /// touched) per batch — not O(|V|) — which is what makes tiny batches on
 /// multi-million-node graphs cheap.
 ///
 /// BeginBatch(n, m) lays the dot cache out as node_dots_[x * m + model],
-/// epoch-marked per NODE (one gather fills a row's m dots together). The
-/// cache grows monotonically to the largest (nodes x models) seen and the
-/// epoch expires stale layouts, so alternating one- and many-model
-/// batches never reallocates back and forth.
+/// epoch-marked per NODE (one gather fills a row's m dots together). Both
+/// tables grow monotonically to the largest graph and (nodes x models)
+/// seen and the epoch, which only ever increases, expires stale layouts,
+/// so alternating one- and many-model batches, or batches over two index
+/// generations of different sizes, never reallocate back and forth.
 ///
 /// A scratch belongs to ONE caller at a time: concurrent batch calls must
 /// use distinct scratches. (The gather pass's workers may write dots of
@@ -82,11 +82,11 @@ class BatchScratch {
 
   /// Starts a new batch over a graph of `num_nodes` nodes, caching
   /// `num_models` dots per touched node. Previous marks and cached dots
-  /// expire in O(1) (epoch bump, no per-node clear); tables are
-  /// (re)allocated only when `num_nodes` changes or the dot cache must
-  /// grow. The touched list's capacity is pre-reserved to the high-water
-  /// mark of earlier batches, so a long-lived serving scratch stops
-  /// paying re-growth churn after warm-up.
+  /// expire in O(1) (epoch bump, no per-node clear); tables grow only
+  /// when `num_nodes` or the dot layout exceeds every earlier batch's. The
+  /// touched list's capacity is pre-reserved to the high-water mark of
+  /// earlier batches, so a long-lived serving scratch stops paying
+  /// re-growth churn after warm-up.
   void BeginBatch(size_t num_nodes, size_t num_models);
 
   /// Marks x as touched by the current batch; returns true on x's first
@@ -95,17 +95,8 @@ class BatchScratch {
   bool MarkTouched(NodeId x) {
     if (epoch_of_[x] == epoch_) return false;
     epoch_of_[x] = epoch_;
-    touch_order_[x] = static_cast<uint32_t>(touched_.size());
     touched_.push_back(x);
     return true;
-  }
-
-  /// Position of a marked node in touched(): the batch path marks its
-  /// query nodes first, so an order below the query count names the query
-  /// node it is (an O(1) mutual-candidate test).
-  uint32_t TouchOrder(NodeId x) const {
-    MX_DCHECK(epoch_of_[x] == epoch_);
-    return touch_order_[x];
   }
 
   /// Rows marked since BeginBatch(), in first-touch order.
@@ -133,7 +124,6 @@ class BatchScratch {
  private:
   uint64_t epoch_ = 0;  // 0 = no batch yet; epoch_of_ entries start at 0
   std::vector<uint64_t> epoch_of_;  // epoch_of_[x] == epoch_ <=> x touched
-  std::vector<uint32_t> touch_order_;  // x's index in touched_, if marked
   std::vector<double> node_dots_;   // [x * num_models_ + m], valid if marked
   std::vector<NodeId> touched_;
   size_t num_models_ = 1;
@@ -151,8 +141,10 @@ struct BatchMultiStats {
   /// (the sum over models of each model's own union). rows_per_model -
   /// rows_gathered is the saving; equal when one model.
   uint64_t rows_per_model = 0;
-  /// Pair rows between two query nodes of the window, dotted once for
-  /// both endpoints and all models instead of once per endpoint.
+  /// Always 0: every query node dots its own pair rows, so no pair row is
+  /// shared between two query nodes of a window. Kept only because the
+  /// serving benchmark (servebench/main.cc) still reads it; it goes with
+  /// the next change to that benchmark.
   uint64_t shared_pair_rows = 0;
 };
 

@@ -161,31 +161,42 @@ TEST(BatchScratch, EpochSemantics) {
   ASSERT_EQ(scratch.touched().size(), 2u);
   EXPECT_EQ(scratch.touched()[0], 3u);
   EXPECT_EQ(scratch.touched()[1], 7u);
-  EXPECT_EQ(scratch.TouchOrder(3), 0u);
-  EXPECT_EQ(scratch.TouchOrder(7), 1u);
 
-  // New batch: all marks expire without any clearing pass, and touch
-  // order restarts.
+  // New batch: all marks expire without any clearing pass.
   scratch.BeginBatch(8, 1);
   EXPECT_TRUE(scratch.touched().empty());
   EXPECT_TRUE(scratch.MarkTouched(7));
   EXPECT_TRUE(scratch.MarkTouched(3));
-  EXPECT_EQ(scratch.TouchOrder(7), 0u);
-  EXPECT_EQ(scratch.TouchOrder(3), 1u);
   scratch.MutableNodeDots(3)[0] = 2.0;
   EXPECT_EQ(scratch.NodeDots(3)[0], 2.0);
 
-  // Different graph size: tables resize, marks expire.
+  // Different graph size: tables grow, marks expire.
   scratch.BeginBatch(20, 1);
   EXPECT_TRUE(scratch.touched().empty());
   EXPECT_TRUE(scratch.MarkTouched(19));
   EXPECT_TRUE(scratch.MarkTouched(3));
-  EXPECT_EQ(scratch.TouchOrder(19), 0u);
 
-  // Back to the original size: still no stale marks (the resize path
-  // reset the epoch, the bump path advanced it — either way fresh).
+  // Back to the original size: still no stale marks (the tables keep
+  // their size and the epoch only ever advances).
   scratch.BeginBatch(8, 1);
   EXPECT_TRUE(scratch.MarkTouched(3));
+}
+
+TEST(BatchScratch, MarksBeyondASmallerGraphStayStaleWhenItGrowsBack) {
+  BatchScratch scratch;
+  scratch.BeginBatch(20, 2);
+  EXPECT_TRUE(scratch.MarkTouched(15));
+  scratch.MutableNodeDots(15)[1] = 4.0;
+  // A smaller graph leaves node 15's entries in place but unreachable...
+  scratch.BeginBatch(8, 2);
+  EXPECT_TRUE(scratch.MarkTouched(3));
+  // ...and growing back must not revive them: the old mark holds an older
+  // epoch, so node 15 is a first touch again.
+  scratch.BeginBatch(20, 2);
+  EXPECT_TRUE(scratch.MarkTouched(3));
+  EXPECT_TRUE(scratch.MarkTouched(15));
+  EXPECT_FALSE(scratch.MarkTouched(15));
+  ASSERT_EQ(scratch.touched().size(), 2u);
 }
 
 TEST(BatchScratch, MultiModelDotRows) {
@@ -239,7 +250,6 @@ TEST(BatchScratchDeathTest, ReadingAnUnmarkedRowDiesInDebugBuilds) {
   // Node 4 was never marked this batch: its slot may hold a stale dot from
   // an earlier epoch, so the read must be rejected, not served.
   EXPECT_DEATH((void)scratch.NodeDots(4), "");
-  EXPECT_DEATH((void)scratch.TouchOrder(4), "");
 #endif
 }
 

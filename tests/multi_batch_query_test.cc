@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -187,29 +188,55 @@ TEST(MultiBatchQuery, SnapshotReusesCallerScratchAcrossMixedCalls) {
   }
 }
 
+// The rows {q} U Candidates(q) of the window's queries under `model`
+// (every model when `model` is negative), built without the batch path.
+std::set<NodeId> RowsOf(const Window& w, int model) {
+  const MetagraphVectorIndex& index = SharedPipeline().engine->index();
+  std::set<NodeId> rows;
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    if (model >= 0 && w.model_of[i] != static_cast<uint32_t>(model)) continue;
+    rows.insert(w.queries[i]);
+    for (NodeId y : index.Candidates(w.queries[i])) rows.insert(y);
+  }
+  return rows;
+}
+
+// rows_per_model is what STATS and servebench's server.rows_saved_frac
+// report: it must be exactly the sum of each model's own row union, and
+// rows_gathered exactly the window's union.
 TEST(MultiBatchQuery, StatsAccountForSharedGather) {
   const Pipeline& p = SharedPipeline();
   const std::shared_ptr<const IndexSnapshot> snap = p.engine->Snapshot();
   util::ThreadPool four_threads(4);
-  const Window w = WindowOf(64, 4);
+  // A server-sized window of four models striped, plus an exact (node,
+  // model) duplicate and users[1] (model 1 above) again under model 3,
+  // where it adds rows no other model-3 query touches.
+  Window w = WindowOf(8, 4);
+  w.queries.push_back(p.users[2]);
+  w.model_of.push_back(2);
+  const size_t model3_rows = RowsOf(w, 3).size();
+  w.queries.push_back(p.users[1]);
+  w.model_of.push_back(3);
+  ASSERT_GT(RowsOf(w, 3).size(), model3_rows);
   BatchMultiStats stats;
   auto multi = snap->BatchQueryMulti(WeightSpans(4), w.queries, w.model_of,
                                      10, &four_threads, nullptr, &stats);
   ExpectIdenticalToQuery(w, 10, multi);
-  EXPECT_GT(stats.rows_gathered, 0u);
-  // The union gather can never touch more rows than four per-model gathers
-  // would, and with the user pool striped round robin the models' candidate
-  // sets overlap heavily — the shared window must actually save.
+  uint64_t per_model = 0;
+  for (int m = 0; m < 4; ++m) per_model += RowsOf(w, m).size();
+  EXPECT_EQ(stats.rows_per_model, per_model);
+  EXPECT_EQ(stats.rows_gathered, RowsOf(w, -1).size());
+  // With the user pool striped round robin the models' candidate sets
+  // overlap heavily — the shared window must actually save.
   EXPECT_GT(stats.rows_per_model, stats.rows_gathered);
-  // Queries of one window are mutual candidates here, so some pair rows
-  // must have been precomputed once for all models.
-  EXPECT_GT(stats.shared_pair_rows, 0u);
+  EXPECT_EQ(stats.shared_pair_rows, 0u);
 
   // One model: the union IS the per-model gather; nothing to save.
   const Window w1 = WindowOf(16, 1);
   BatchMultiStats stats1;
   (void)snap->BatchQueryMulti(WeightSpans(1), w1.queries, w1.model_of, 10,
                               &four_threads, nullptr, &stats1);
+  EXPECT_EQ(stats1.rows_gathered, RowsOf(w1, -1).size());
   EXPECT_EQ(stats1.rows_per_model, stats1.rows_gathered);
 }
 
